@@ -397,7 +397,7 @@ fn main() {
     doc.push_str("    \"harness\": \"criterion-lite\",\n");
     doc.push_str(&format!(
         "    \"engine\": \"{}\",\n",
-        rendezvous_bench::engine::current().name()
+        rendezvous_bench::engine::Engine::default().name()
     ));
     doc.push_str(&format!("    \"profile\": \"{profile}\",\n"));
     doc.push_str(&format!("    \"sample_size\": {SAMPLE_SIZE},\n"));

@@ -1,6 +1,7 @@
 //! Bench X3 — regenerates the Proposition 2.3 / Corollary 2.1 tables.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rendezvous_bench::session::Session;
 use rendezvous_bench::x3_relabel;
 use rendezvous_runner::Runner;
 use std::hint::black_box;
@@ -16,7 +17,12 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("x3/exec_ring6", |b| {
         b.iter(|| {
-            let rows = x3_relabel::run_exec(6, 8, &[1, 2, 3], &Runner::with_threads(2));
+            let rows = x3_relabel::run_exec(
+                6,
+                8,
+                &[1, 2, 3],
+                &mut Session::direct(Runner::with_threads(2)),
+            );
             for r in &rows {
                 assert!(r.time <= r.time_bound);
                 assert!(r.cost <= r.cost_bound);

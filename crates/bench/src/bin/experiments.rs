@@ -5,10 +5,9 @@
 //! ```text
 //! experiments [all|x1|x2|...|x11]... [--topo] [--quick] [--json]
 //!             [--sequential|--parallel] [--engine stepped|batched]
-//!             [--progress] [--telemetry FILE] [--plan] [--store DIR]
-//!             [--shard i/m [--emit-shard]] [--merge-shards FILE...]
-//!             [--spawn-shards m]
-//!             [--fabric workers=N [--fabric-checkpoint FILE] [--fabric-kill-one]]
+//!             [--progress] [--telemetry FILE] [--store DIR]
+//!             [--plan | --shard i/m [--emit-shard] | --merge-shards FILE...
+//!              | --fabric workers=N [--fabric-checkpoint FILE] [--fabric-kill-one]]
 //! experiments serve --store DIR [--addr-file FILE]
 //!             [--engine stepped|batched] [--sequential]
 //! experiments query (--addr ADDR | --addr-file FILE)
@@ -38,7 +37,13 @@
 //! shape: the outputs are **byte-identical** to `--engine stepped` (the
 //! default), only faster, and CI diffs the two on every push.
 //!
-//! # Sharded sweeps (multi-process)
+//! The command line is parsed once into one execution mode — direct,
+//! `--plan`, `--shard`, `--merge-shards`, `--fabric` or the internal
+//! `--fabric-worker` — and at most one may be given. The mode becomes
+//! the run's [`ExecPlan`], which travels with the runner, engine, store
+//! and telemetry sink in one explicit [`Session`] through every sweep.
+//!
+//! # Sharded sweeps (multi-process, multi-host)
 //!
 //! `--shard i/m --emit-shard` executes only shard `i` of every
 //! adversarial grid and prints a JSON ledger of per-sweep partial stats
@@ -51,10 +56,9 @@
 //! experiments x1 --json --merge-shards s0.json s1.json s2.json   # == experiments x1 --json
 //! ```
 //!
-//! `--spawn-shards m` automates the loop above in one invocation: it
-//! re-execs this binary `m` times with `--shard i/m`, captures the
-//! ledgers in memory, merges them, and renders the ordinary output —
-//! still byte-identical to the single-process run.
+//! The shard runs may execute on different hosts; for several processes
+//! on one host, `--fabric workers=N` below does the whole loop in one
+//! invocation.
 //!
 //! # Observability
 //!
@@ -62,11 +66,11 @@
 //! while sweeps execute (stdout untouched); `--telemetry FILE` writes a
 //! deterministic `TELEMETRY.json` sidecar after the run — exact
 //! counters in sorted sections, wall-clock data quarantined under
-//! `timing`. Both compose with `--spawn-shards m`: each child streams
-//! `@progress`/`@telemetry` protocol lines over stderr (internal
-//! `--progress-stream`/`--telemetry-stream` flags), the parent
-//! aggregates the live display and merges the children's snapshots
-//! into one sidecar. Neither flag may change the experiment output:
+//! `timing`. Both compose with `--fabric workers=N`: each worker streams
+//! `@progress` protocol lines over stderr (internal `--progress-stream`
+//! flag) for the driver's aggregated display, and hands its telemetry
+//! snapshot to the coordinator in its final frame, so the driver writes
+//! one merged sidecar. Neither flag may change the experiment output:
 //! CI byte-diffs telemetry-on against telemetry-off on every push.
 //! `--telemetry` with `--merge-shards` is rejected — a merge replays
 //! recorded sweeps and executes nothing, so its sidecar would be
@@ -97,13 +101,12 @@
 //! `--store DIR` puts a content-addressed read-through cache in front
 //! of every recorded sweep: a hit returns the stored [`SweepReport`]
 //! byte-identically and executes **zero** scenarios; a miss computes
-//! as usual (through whatever topology the run uses — `--store`
-//! composes with `--spawn-shards` and `--fabric`, the flag is
-//! forwarded to every child process so all of them skip the same
-//! cached sweeps) and writes the full report back. A warm rerun is
-//! byte-identical to the cold one, CI-checked. With `--plan` each line
-//! gains a `store=cached|miss` column. Shard/merge and fabric runs
-//! must all use the same `--store` setting (and store state): the
+//! as usual (through whatever mode the run uses — `--store` composes
+//! with `--fabric`, and the flag is forwarded to every worker so all of
+//! them skip the same cached sweeps) and writes the full report back.
+//! A warm rerun is byte-identical to the cold one, CI-checked. With
+//! `--plan` each line gains a `store=cached|miss` column. Shard/merge
+//! runs must all use the same `--store` setting (and store state): the
 //! cache changes *which* sweeps produce ledger records, so mixing
 //! cached and uncached artifacts in one merge is a diagnosed error.
 //!
@@ -111,8 +114,8 @@
 //! service: length-framed JSON queries over a loopback socket (the
 //! fabric's wire discipline), answered cached-or-computed, with typed
 //! refusals for schema/fingerprint drift. `experiments query` is the
-//! client; `query --direct` computes the same answer locally, and CI
-//! byte-diffs the two.
+//! client; `query --direct` computes the same answer locally through the
+//! same session path, and CI byte-diffs the two.
 //!
 //! # Topology sweeps
 //!
@@ -125,28 +128,32 @@
 //! select them explicitly. Sharding works for them exactly as above —
 //! a `TopoGrid` is just another `Workload`, so its per-family reports
 //! ride the same unified ledger as every grid sweep.
+//!
+//! [`ExecPlan`]: rendezvous_bench::session::ExecPlan
+//! [`Session`]: rendezvous_bench::session::Session
+//! [`SweepReport`]: rendezvous_runner::SweepReport
 
+use rendezvous_bench::engine::Engine;
+use rendezvous_bench::fabric::WorkerSession;
+use rendezvous_bench::session::{ExecPlan, Session};
+use rendezvous_bench::sharding::{self, MergedLedger};
 use rendezvous_bench::*;
 use rendezvous_runner::Runner;
-use rendezvous_telemetry::{
-    telemetry_line, ProgressHub, ProgressReporter, StderrPump, TelemetrySnapshot,
-};
+use rendezvous_store::Store;
+use rendezvous_telemetry::{Metrics, ProgressHub, ProgressReporter, StderrPump, TelemetrySnapshot};
 use std::sync::Arc;
 
 struct Config {
     quick: bool,
     json: bool,
-    /// Shard mode: suppress the ordinary output (the shard ledger goes to
-    /// stdout instead).
-    emit_shard: bool,
-    runner: Runner,
+    session: Session,
 }
 
-/// Emits either the rendered markdown or the serialized rows. In
-/// `--emit-shard` mode nothing is emitted: the rows are partial (one
-/// shard's worth of scenarios) and stdout is reserved for the ledger.
+/// Emits either the rendered markdown or the serialized rows. Runs
+/// whose sweeps return partial folds (shards, fabric workers) or none
+/// (`--plan`) emit nothing: stdout carries the mode's own stream.
 fn emit<R: serde::Serialize>(cfg: &Config, id: &str, rows: &[R], rendered: String) {
-    if cfg.emit_shard {
+    if !cfg.session.emits_rows() {
         return;
     }
     if cfg.json {
@@ -160,10 +167,11 @@ fn emit<R: serde::Serialize>(cfg: &Config, id: &str, rows: &[R], rendered: Strin
     }
 }
 
-/// Prints a section heading: to stdout for markdown output, to stderr in
-/// `--json` and `--emit-shard` modes so stdout stays a clean JSON stream.
+/// Prints a section heading: to stdout for markdown output, to stderr
+/// in `--json` mode and whenever rows are not emitted, so stdout stays a
+/// clean JSON (or ledger, or plan) stream.
 fn section(cfg: &Config, heading: &str) {
-    if cfg.json || cfg.emit_shard {
+    if cfg.json || !cfg.session.emits_rows() {
         eprintln!("{heading}");
     } else {
         println!("{heading}");
@@ -173,6 +181,12 @@ fn section(cfg: &Config, heading: &str) {
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+/// Prints a runtime failure and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }
 
 /// Parses `i/m` (as in `--shard 1/3`) into `(shard, of)`.
@@ -190,112 +204,261 @@ fn parse_shard_spec(spec: &str) -> (usize, usize) {
     }
 }
 
-/// Re-execs this binary once per shard (same selection and flags plus
-/// `--shard i/m`), parses the emitted ledgers, and returns them merged —
-/// the driver mode that closes the "spawn the shards and merge
-/// automatically" loop without temp files.
-///
-/// With `progress` the children stream `@progress` protocol lines and
-/// the parent renders their aggregated live display; with `telemetry`
-/// each child's final `@telemetry` snapshot is captured and the merged
-/// snapshot returned (merge order is irrelevant — the fold is
-/// associative and commutative, property-tested in the telemetry
-/// crate). Every child's stderr is drained on a pump thread either
-/// way, so a failed shard's diagnostics still surface verbatim.
-fn spawn_shards(
-    m: usize,
-    passthrough: &[String],
-    progress: bool,
-    telemetry: bool,
-) -> (sharding::MergedLedger, Option<TelemetrySnapshot>) {
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("cannot locate own binary: {e}");
-        std::process::exit(1);
-    });
-    // Launch every child before collecting any, so the shards actually
-    // overlap in wall-clock time; collection order is irrelevant to the
-    // result (the merge validates and sorts by shard index).
-    let hub = ProgressHub::new(m);
-    let mut pumps: Vec<StderrPump> = Vec::with_capacity(m);
-    let children: Vec<std::process::Child> = (0..m)
-        .map(|i| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args(passthrough)
-                .arg("--shard")
-                .arg(format!("{i}/{m}"))
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::piped());
-            if progress {
-                cmd.arg("--progress-stream");
-            }
-            if telemetry {
-                cmd.arg("--telemetry-stream");
-            }
-            let mut child = cmd.spawn().unwrap_or_else(|e| {
-                eprintln!("cannot spawn shard {i}/{m}: {e}");
-                std::process::exit(1);
-            });
-            let stderr = child.stderr.take().expect("child stderr is piped");
-            pumps.push(StderrPump::pump(stderr, &hub, i));
-            child
-        })
-        .collect();
-    let reporter = progress.then(|| ProgressReporter::aggregate(&hub));
-    // Join (and thereby reap) every child before inspecting any status:
-    // bailing out on the first failure would orphan the still-running
-    // shards mid-sweep. A failed shard is a runtime failure (exit 1),
-    // not a usage error.
-    let outputs: Vec<std::io::Result<std::process::Output>> = children
-        .into_iter()
-        .map(std::process::Child::wait_with_output)
-        .collect();
-    // Children have exited, so the pumps see EOF; join them (and stop
-    // the live display) before any diagnostics are printed.
-    let drained: Vec<(String, Option<TelemetrySnapshot>)> =
-        pumps.into_iter().map(StderrPump::finish).collect();
-    if let Some(reporter) = reporter {
-        reporter.finish();
+/// The value after `flag`, or a usage error saying what it should be.
+fn value_of(rest: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
+    rest.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires {what}")))
+}
+
+/// Parses an `--engine` value.
+fn parse_engine(name: &str) -> Engine {
+    Engine::parse(name).unwrap_or_else(|| {
+        usage_error(&format!(
+            "--engine expects stepped or batched, got `{name}`"
+        ))
+    })
+}
+
+/// Opens the result store at `dir` (creating it if needed).
+fn open_store(dir: &str) -> Store {
+    Store::open(std::path::Path::new(dir))
+        .unwrap_or_else(|e| fail(&format!("cannot open the result store: {e}")))
+}
+
+/// How this invocation executes its sweeps.
+enum Mode {
+    Direct,
+    /// `--plan`.
+    DryRun,
+    /// `--shard i/m`.
+    Shard {
+        shard: usize,
+        of: usize,
+    },
+    /// `--merge-shards FILE...`.
+    Merge(Vec<String>),
+    /// `--fabric workers=N`: the driver.
+    Fabric {
+        workers: usize,
+    },
+    /// `--fabric-worker ADDR` (internal).
+    FabricWorker {
+        addr: String,
+    },
+}
+
+impl Mode {
+    fn flag(&self) -> &'static str {
+        match self {
+            Mode::Direct => "",
+            Mode::DryRun => "--plan",
+            Mode::Shard { .. } => "--shard",
+            Mode::Merge(_) => "--merge-shards",
+            Mode::Fabric { .. } => "--fabric",
+            Mode::FabricWorker { .. } => "--fabric-worker",
+        }
     }
-    let emissions: Vec<sharding::ShardEmission> = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(i, output)| {
-            let output = output.unwrap_or_else(|e| {
-                eprintln!("cannot join shard {i}/{m}: {e}");
-                std::process::exit(1);
-            });
-            if !output.status.success() {
-                eprintln!(
-                    "shard {i}/{m} failed ({}):\n{}",
-                    output.status, drained[i].0
-                );
-                std::process::exit(1);
+}
+
+/// The experiment command line, parsed once.
+struct Cli {
+    /// Experiment ids, `all` and `--topo` expanded.
+    wanted: Vec<String>,
+    quick: bool,
+    json: bool,
+    sequential: bool,
+    parallel: bool,
+    engine: Engine,
+    store: Option<String>,
+    progress: bool,
+    /// Internal: emit `@progress` lines for a fabric driver.
+    progress_stream: bool,
+    telemetry: Option<String>,
+    mode: Mode,
+    emit_shard: bool,
+    checkpoint: Option<String>,
+    kill_one: bool,
+    /// Internal chaos hook, set by the driver on worker 0 under
+    /// `--fabric-kill-one`.
+    self_kill: bool,
+}
+
+impl Cli {
+    /// Parses the arguments (usage errors exit 2), then checks every
+    /// cross-flag rule in one match on the mode.
+    fn parse(args: Vec<String>) -> Cli {
+        let mut cli = Cli {
+            wanted: Vec::new(),
+            quick: false,
+            json: false,
+            sequential: false,
+            parallel: false,
+            engine: Engine::default(),
+            store: None,
+            progress: false,
+            progress_stream: false,
+            telemetry: None,
+            mode: Mode::Direct,
+            emit_shard: false,
+            checkpoint: None,
+            kill_one: false,
+            self_kill: false,
+        };
+        let mut topo = false;
+        let mut iter = args.into_iter();
+        while let Some(arg) = iter.next() {
+            let mut value = |what: &str| value_of(&mut iter, &arg, what);
+            match arg.as_str() {
+                "--quick" => cli.quick = true,
+                "--json" => cli.json = true,
+                "--sequential" => cli.sequential = true,
+                "--parallel" => cli.parallel = true,
+                "--topo" => topo = true,
+                "--progress" => cli.progress = true,
+                "--progress-stream" => cli.progress_stream = true,
+                "--emit-shard" => cli.emit_shard = true,
+                "--fabric-kill-one" => cli.kill_one = true,
+                "--fabric-self-kill" => cli.self_kill = true,
+                "--telemetry" => cli.telemetry = Some(value("a file path")),
+                "--store" => cli.store = Some(value("a directory")),
+                "--fabric-checkpoint" => cli.checkpoint = Some(value("a file path")),
+                "--engine" => cli.engine = parse_engine(&value("stepped or batched")),
+                "--plan" => cli.set_mode(Mode::DryRun),
+                "--shard" => {
+                    let (shard, of) = parse_shard_spec(&value("an i/m argument"));
+                    cli.set_mode(Mode::Shard { shard, of });
+                }
+                // Everything after --merge-shards is a shard ledger
+                // file; experiment ids go before the flag.
+                "--merge-shards" => cli.set_mode(Mode::Merge(iter.by_ref().collect())),
+                "--fabric" => {
+                    let spec = value("workers=N");
+                    let workers = spec
+                        .strip_prefix("workers=")
+                        .and_then(|n| n.parse::<usize>().ok())
+                        .filter(|&n| n > 0)
+                        .unwrap_or_else(|| {
+                            usage_error(&format!(
+                                "--fabric expects workers=N with N > 0, got `{spec}`"
+                            ))
+                        });
+                    cli.set_mode(Mode::Fabric { workers });
+                }
+                "--fabric-worker" => cli.set_mode(Mode::FabricWorker {
+                    addr: value("an address"),
+                }),
+                other if other.starts_with("--") => usage_error(&format!("unknown flag: {other}")),
+                id => cli.wanted.push(id.to_string()),
             }
-            let text = String::from_utf8_lossy(&output.stdout);
-            serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("shard {i}/{m} emitted an invalid ledger: {e}");
-                std::process::exit(1);
-            })
+        }
+        let refusal = match &cli.mode {
+            _ if cli.sequential && cli.parallel => {
+                Some("--sequential and --parallel are mutually exclusive")
+            }
+            mode if cli.emit_shard && !matches!(mode, Mode::Shard { .. }) => {
+                Some("--emit-shard requires --shard i/m")
+            }
+            mode if (cli.checkpoint.is_some() || cli.kill_one)
+                && !matches!(mode, Mode::Fabric { .. }) =>
+            {
+                Some("--fabric-checkpoint/--fabric-kill-one require --fabric workers=N")
+            }
+            Mode::Fabric { workers } if cli.kill_one && *workers < 2 => {
+                Some("--fabric-kill-one needs workers=2 or more to have survivors")
+            }
+            mode if cli.self_kill && !matches!(mode, Mode::FabricWorker { .. }) => {
+                Some("--fabric-self-kill is internal to fabric workers")
+            }
+            Mode::Merge(_) if cli.telemetry.is_some() => Some(
+                "--telemetry cannot be combined with --merge-shards: a merge replays recorded \
+                 sweeps and executes nothing, so the sidecar would be vacuously empty",
+            ),
+            Mode::DryRun if cli.telemetry.is_some() => {
+                Some("--telemetry with --plan would write a vacuously empty sidecar")
+            }
+            _ => None,
+        };
+        if let Some(msg) = refusal {
+            usage_error(msg);
+        }
+        cli.wanted = expand_selection(std::mem::take(&mut cli.wanted), topo);
+        cli
+    }
+
+    /// One execution mode per invocation: a second mode flag is refused.
+    fn set_mode(&mut self, mode: Mode) {
+        if !matches!(self.mode, Mode::Direct) {
+            usage_error(&format!(
+                "{} cannot be combined with {}",
+                mode.flag(),
+                self.mode.flag()
+            ));
+        }
+        self.mode = mode;
+    }
+
+    /// The arguments of one fabric worker: this run's selection and
+    /// sweep-shaping flags, joined to the coordinator at `addr`.
+    fn worker_args(&self, addr: &str) -> Vec<String> {
+        let mut args = self.wanted.clone();
+        for (on, flag) in [
+            (self.quick, "--quick"),
+            (self.json, "--json"),
+            (self.sequential, "--sequential"),
+            (self.parallel, "--parallel"),
+            (self.progress, "--progress-stream"),
+        ] {
+            if on {
+                args.push(flag.into());
+            }
+        }
+        args.extend(["--engine".into(), self.engine.name().into()]);
+        // Every process of a run opens the same store, so all of them
+        // skip the same cached sweeps and their sweep positions align.
+        if let Some(dir) = &self.store {
+            args.extend(["--store".into(), dir.clone()]);
+        }
+        args.extend(["--fabric-worker".into(), addr.into()]);
+        args
+    }
+}
+
+/// `all` stays x1..x9: the topology sweeps (x10/x11) are the heaviest
+/// tables and are selected explicitly. `--topo` is a selector — alone it
+/// runs just x10; next to ids (or `all`) it adds x10 to them. An
+/// explicit `x10`/`x11` id survives an `all` expansion for the same
+/// reason. The expansion is idempotent, so fabric workers handed the
+/// expanded list walk the same sequence.
+fn expand_selection(mut wanted: Vec<String>, topo: bool) -> Vec<String> {
+    let topo = topo || wanted.iter().any(|w| w == "x10");
+    if wanted.iter().any(|w| w == "all") || (wanted.is_empty() && !topo) {
+        let explicit_x11 = wanted.iter().any(|w| w == "x11");
+        wanted = ["x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9"]
+            .map(String::from)
+            .to_vec();
+        if explicit_x11 {
+            wanted.push("x11".into());
+        }
+    }
+    if topo && !wanted.iter().any(|w| w == "x10") {
+        wanted.push("x10".into());
+    }
+    wanted
+}
+
+/// Reads and merges the `--merge-shards` ledgers.
+fn merge_files(files: &[String]) -> MergedLedger {
+    let emissions: Vec<sharding::ShardEmission> = files
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| usage_error(&format!("cannot read {path}: {e}")));
+            serde_json::from_str(&text)
+                .unwrap_or_else(|e| usage_error(&format!("{path} is not a shard ledger: {e}")))
         })
         .collect();
-    let snapshot = telemetry.then(|| {
-        drained
-            .iter()
-            .enumerate()
-            .map(|(i, (_, snap))| {
-                snap.as_ref().unwrap_or_else(|| {
-                    eprintln!("shard {i}/{m} exited without a telemetry snapshot");
-                    std::process::exit(1);
-                })
-            })
-            .fold(TelemetrySnapshot::empty(), |acc, s| acc.merge(s))
-    });
-    let names: Vec<String> = (0..m).map(|i| format!("spawned shard {i}/{m}")).collect();
-    let merged = sharding::merge_emissions(emissions, &names).unwrap_or_else(|e| {
-        eprintln!("cannot merge spawned shards: {e}");
-        std::process::exit(1);
-    });
-    (merged, snapshot)
+    sharding::merge_emissions(emissions, files)
+        .unwrap_or_else(|e| usage_error(&format!("cannot merge shards: {e}")))
 }
 
 /// Runs the selection on the distributed fabric: starts the loopback
@@ -308,23 +471,12 @@ fn spawn_shards(
 /// *survived* fault — its leases were reassigned — and is only noted on
 /// stderr; the run fails only if ranges remain unfinished or the
 /// coordinator recorded a protocol/checkpoint error.
-fn run_fabric(
-    workers: usize,
-    passthrough: &[String],
-    progress: bool,
-    checkpoint: Option<&str>,
-    kill_one: bool,
-) -> (
-    sharding::MergedLedger,
-    TelemetrySnapshot,
-    rendezvous_fabric::FabricStats,
-) {
+fn run_fabric(cli: &Cli, workers: usize) -> (MergedLedger, TelemetrySnapshot) {
     use rendezvous_fabric as fab;
+    let checkpoint = cli.checkpoint.as_deref().map(std::path::Path::new);
     let resume = match checkpoint {
-        Some(path) => fab::checkpoint::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot resume fabric run: {e}");
-            std::process::exit(1);
-        }),
+        Some(path) => fab::checkpoint::load(path)
+            .unwrap_or_else(|e| fail(&format!("cannot resume fabric run: {e}"))),
         None => Vec::new(),
     };
     let server = fab::FabricServer::start(fab::ServerConfig {
@@ -333,92 +485,84 @@ fn run_fabric(
             chunk: 0,
             lease_timeout_ms: 5_000,
         },
-        checkpoint: checkpoint.map(std::path::PathBuf::from),
+        checkpoint: checkpoint.map(std::path::Path::to_path_buf),
         resume,
     })
-    .unwrap_or_else(|e| {
-        eprintln!("cannot start fabric coordinator: {e}");
-        std::process::exit(1);
-    });
-    let addr = server.addr().to_string();
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("cannot locate own binary: {e}");
-        std::process::exit(1);
-    });
+    .unwrap_or_else(|e| fail(&format!("cannot start fabric coordinator: {e}")));
+    let args = cli.worker_args(server.addr());
+    let exe =
+        std::env::current_exe().unwrap_or_else(|e| fail(&format!("cannot locate own binary: {e}")));
+    // Launch every worker before waiting on any, so they overlap; each
+    // worker's stderr is drained on a pump thread, so a failed worker's
+    // diagnostics still surface verbatim.
     let hub = ProgressHub::new(workers);
     let mut pumps: Vec<StderrPump> = Vec::with_capacity(workers);
     let children: Vec<std::process::Child> = (0..workers)
         .map(|i| {
             let mut cmd = std::process::Command::new(&exe);
-            cmd.args(passthrough)
-                .arg("--fabric-worker")
-                .arg(&addr)
+            cmd.args(&args)
                 .stdout(std::process::Stdio::null())
                 .stderr(std::process::Stdio::piped());
-            if progress {
-                cmd.arg("--progress-stream");
-            }
-            if kill_one && i == 0 {
+            if cli.kill_one && i == 0 {
                 cmd.arg("--fabric-self-kill");
             }
-            let mut child = cmd.spawn().unwrap_or_else(|e| {
-                eprintln!("cannot spawn fabric worker {i}: {e}");
-                std::process::exit(1);
-            });
+            let mut child = cmd
+                .spawn()
+                .unwrap_or_else(|e| fail(&format!("cannot spawn fabric worker {i}: {e}")));
             let stderr = child.stderr.take().expect("worker stderr is piped");
             pumps.push(StderrPump::pump(stderr, &hub, i));
             child
         })
         .collect();
-    let reporter = progress.then(|| ProgressReporter::aggregate(&hub));
+    let reporter = cli.progress.then(|| ProgressReporter::aggregate(&hub));
     let statuses: Vec<std::io::Result<std::process::ExitStatus>> =
         children.into_iter().map(|mut c| c.wait()).collect();
-    let drained: Vec<(String, Option<TelemetrySnapshot>)> =
-        pumps.into_iter().map(StderrPump::finish).collect();
+    let diagnostics: Vec<String> = pumps.into_iter().map(StderrPump::finish).collect();
     if let Some(reporter) = reporter {
         reporter.finish();
     }
-    match server.join() {
-        Ok(outcome) => {
-            for (i, status) in statuses.iter().enumerate() {
-                match status {
-                    Ok(s) if s.success() => {}
-                    Ok(s) => eprintln!(
-                        "fabric worker {i} exited abnormally ({s}); its leases were reassigned"
-                    ),
-                    Err(e) => eprintln!("cannot join fabric worker {i}: {e}"),
-                }
+    let outcome = server.join().unwrap_or_else(|e| {
+        eprintln!("fabric run failed: {e}");
+        for (i, status) in statuses.iter().enumerate() {
+            if !matches!(status, Ok(s) if s.success()) {
+                eprintln!("fabric worker {i} diagnostics:\n{}", diagnostics[i]);
             }
-            let records: Vec<sharding::LedgerRecord> = outcome
-                .sweeps
-                .into_iter()
-                .map(|(meta, report)| sharding::LedgerRecord::new(meta, report))
-                .collect();
-            let merged = sharding::MergedLedger {
-                records,
-                source: format!("fabric coordinator ({workers} workers)"),
-            };
-            (merged, outcome.telemetry, outcome.stats)
         }
-        Err(e) => {
-            eprintln!("fabric run failed: {e}");
-            for (i, status) in statuses.iter().enumerate() {
-                if !matches!(status, Ok(s) if s.success()) {
-                    eprintln!("fabric worker {i} diagnostics:\n{}", drained[i].0);
-                }
+        std::process::exit(1);
+    });
+    for (i, status) in statuses.iter().enumerate() {
+        match status {
+            Ok(s) if s.success() => {}
+            Ok(s) => {
+                eprintln!("fabric worker {i} exited abnormally ({s}); its leases were reassigned")
             }
-            std::process::exit(1);
+            Err(e) => eprintln!("cannot join fabric worker {i}: {e}"),
         }
     }
+    let stats = outcome.stats;
+    if stats.reassigned > 0 || stats.duplicates > 0 || stats.resumed > 0 {
+        eprintln!(
+            "fabric: {} range(s) reassigned, {} duplicate result(s) discarded, \
+             {} range(s) resumed from checkpoint",
+            stats.reassigned, stats.duplicates, stats.resumed
+        );
+    }
+    let ledger = MergedLedger {
+        records: outcome
+            .sweeps
+            .into_iter()
+            .map(|(meta, report)| sharding::LedgerRecord { meta, report })
+            .collect(),
+        source: format!("fabric coordinator ({workers} workers)"),
+    };
+    (ledger, outcome.telemetry)
 }
 
 /// Writes the sidecar document (exact sections sorted, wall-clock data
 /// quarantined) to `path`.
 fn write_sidecar(path: &str, snapshot: &TelemetrySnapshot) {
-    std::fs::write(path, snapshot.render()).unwrap_or_else(|e| {
-        eprintln!("cannot write telemetry sidecar {path}: {e}");
-        std::process::exit(1);
-    });
+    std::fs::write(path, snapshot.render())
+        .unwrap_or_else(|e| fail(&format!("cannot write telemetry sidecar {path}: {e}")));
 }
 
 /// `experiments serve`: run the sweep query service until a client
@@ -426,35 +570,15 @@ fn write_sidecar(path: &str, snapshot: &TelemetrySnapshot) {
 fn run_serve(args: &[String]) {
     let mut store_dir: Option<String> = None;
     let mut addr_file: Option<String> = None;
+    let mut engine = Engine::default();
     let mut sequential = false;
-    let mut iter = args.iter();
+    let mut iter = args.iter().cloned();
     while let Some(arg) = iter.next() {
+        let mut value = |what: &str| value_of(&mut iter, &arg, what);
         match arg.as_str() {
-            "--store" => {
-                store_dir = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--store requires a directory")),
-                );
-            }
-            "--addr-file" => {
-                addr_file = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--addr-file requires a file path")),
-                );
-            }
-            "--engine" => {
-                let name = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--engine requires stepped or batched"));
-                match engine::Engine::parse(name) {
-                    Some(choice) => engine::set_engine(choice),
-                    None => usage_error(&format!(
-                        "--engine expects stepped or batched, got `{name}`"
-                    )),
-                }
-            }
+            "--store" => store_dir = Some(value("a directory")),
+            "--addr-file" => addr_file = Some(value("a file path")),
+            "--engine" => engine = parse_engine(&value("stepped or batched")),
             "--sequential" => sequential = true,
             other => usage_error(&format!("unknown serve flag: {other}")),
         }
@@ -465,14 +589,12 @@ fn run_serve(args: &[String]) {
     } else {
         Runner::parallel()
     };
-    let result = serve::serve(
-        std::path::Path::new(&dir),
-        addr_file.as_deref().map(std::path::Path::new),
-        &runner,
-    );
+    let mut session = Session::direct(runner)
+        .with_engine(engine)
+        .with_store(open_store(&dir));
+    let result = serve::serve(&mut session, addr_file.as_deref().map(std::path::Path::new));
     if let Err(e) = result {
-        eprintln!("serve failed: {e}");
-        std::process::exit(1);
+        fail(&format!("serve failed: {e}"));
     }
 }
 
@@ -526,77 +648,37 @@ fn run_query(args: &[String]) {
     let mut shutdown = false;
     let mut direct = false;
     let mut store_dir: Option<String> = None;
+    let mut engine = Engine::default();
     let mut sequential = false;
-    let mut iter = args.iter();
+    let mut iter = args.iter().cloned();
     while let Some(arg) = iter.next() {
+        let mut value = |what: &str| value_of(&mut iter, &arg, what);
         match arg.as_str() {
-            "--addr" => {
-                addr = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--addr requires host:port")),
-                );
-            }
-            "--addr-file" => {
-                addr_file = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--addr-file requires a file path")),
-                );
-            }
-            "--token" => {
-                token = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--token requires a store token")),
-                );
-            }
-            "--grid" => {
-                grid_algo = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--grid requires cheap or fast")),
-                );
-            }
-            "--spec" => {
-                spec_json = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--spec requires a GraphSpec JSON value")),
-                );
-            }
+            "--addr" => addr = Some(value("host:port")),
+            "--addr-file" => addr_file = Some(value("a file path")),
+            "--token" => token = Some(value("a store token")),
+            "--grid" => grid_algo = Some(value("cheap or fast")),
+            "--spec" => spec_json = Some(value("a GraphSpec JSON value")),
             "--l" => {
-                l = iter.next().and_then(|s| s.parse().ok());
-                if l.is_none() {
-                    usage_error("--l requires a label-space size");
-                }
+                let what = "a label-space size";
+                l = Some(
+                    value(what)
+                        .parse()
+                        .unwrap_or_else(|_| usage_error(&format!("--l requires {what}"))),
+                );
             }
             "--cap" => {
-                cap = iter.next().and_then(|s| s.parse().ok());
-                if cap.is_none() {
-                    usage_error("--cap requires a scenario cap");
-                }
+                let what = "a scenario cap";
+                cap = Some(
+                    value(what)
+                        .parse()
+                        .unwrap_or_else(|_| usage_error(&format!("--cap requires {what}"))),
+                );
             }
             "--shutdown" => shutdown = true,
             "--direct" => direct = true,
-            "--store" => {
-                store_dir = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--store requires a directory")),
-                );
-            }
-            "--engine" => {
-                let name = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--engine requires stepped or batched"));
-                match engine::Engine::parse(name) {
-                    Some(choice) => engine::set_engine(choice),
-                    None => usage_error(&format!(
-                        "--engine expects stepped or batched, got `{name}`"
-                    )),
-                }
-            }
+            "--store" => store_dir = Some(value("a directory")),
+            "--engine" => engine = parse_engine(&value("stepped or batched")),
             "--sequential" => sequential = true,
             other => usage_error(&format!("unknown query flag: {other}")),
         }
@@ -631,12 +713,7 @@ fn run_query(args: &[String]) {
             serve::Query::Token { token } => {
                 let dir = store_dir
                     .unwrap_or_else(|| usage_error("query --direct --token requires --store DIR"));
-                let store = rendezvous_store::Store::open(std::path::Path::new(&dir))
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot open the result store: {e}");
-                        std::process::exit(1);
-                    });
-                match store.load_token(&token) {
+                match open_store(&dir).load_token(&token) {
                     Ok(entry) => {
                         eprintln!("query: cached {token}");
                         println!(
@@ -654,10 +731,11 @@ fn run_query(args: &[String]) {
                 l,
                 cap,
             } => {
+                let mut session = Session::direct(runner).with_engine(engine);
                 if let Some(dir) = &store_dir {
-                    store::begin(std::path::Path::new(dir));
+                    session = session.with_store(open_store(dir));
                 }
-                let report = x10_topologies::sweep_single_spec(&algorithm, spec, l, cap, &runner)
+                let swept = x10_topologies::sweep_spec(&mut session, &algorithm, spec, l, cap)
                     .unwrap_or_else(|| {
                         usage_error(&format!(
                             "unknown algorithm `{algorithm}` (expected cheap or fast)"
@@ -665,7 +743,7 @@ fn run_query(args: &[String]) {
                     });
                 println!(
                     "{}",
-                    serde_json::to_string_pretty(&report).expect("serializable report")
+                    serde_json::to_string_pretty(&swept.report).expect("serializable report")
                 );
             }
             serve::Query::Shutdown => unreachable!("rejected above"),
@@ -681,10 +759,7 @@ fn run_query(args: &[String]) {
     };
     match serve::ask(&addr, &query) {
         Ok(reply) => render_reply(reply),
-        Err(e) => {
-            eprintln!("query failed: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(&format!("query failed: {e}")),
     }
 }
 
@@ -695,349 +770,72 @@ fn main() {
         Some("query") => return run_query(&args[1..]),
         _ => {}
     }
-    let mut quick = false;
-    let mut json = false;
-    let mut sequential = false;
-    let mut parallel = false;
-    let mut emit_shard = false;
-    let mut topo = false;
-    let mut progress = false;
-    let mut progress_stream = false;
-    let mut telemetry_stream = false;
-    let mut telemetry_path: Option<String> = None;
-    let mut shard: Option<(usize, usize)> = None;
-    let mut spawn: Option<usize> = None;
-    let mut merge_files: Option<Vec<String>> = None;
-    let mut plan = false;
-    let mut fabric_workers: Option<usize> = None;
-    let mut fabric_worker_addr: Option<String> = None;
-    let mut fabric_checkpoint: Option<String> = None;
-    let mut fabric_kill_one = false;
-    let mut fabric_self_kill = false;
-    let mut store_dir: Option<String> = None;
-    let mut wanted: Vec<String> = Vec::new();
-    // Args minus the --spawn-shards directive itself: what each spawned
-    // child re-runs (with its --shard i/m appended).
-    let mut passthrough: Vec<String> = Vec::new();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let mut forward = true;
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--sequential" => sequential = true,
-            "--parallel" => parallel = true,
-            "--emit-shard" => emit_shard = true,
-            "--topo" => topo = true,
-            // Not forwarded: the spawn driver renders the aggregate
-            // display itself and hands children the stream flags below.
-            "--progress" => {
-                progress = true;
-                forward = false;
-            }
-            // Not forwarded: each child would clobber the parent's
-            // sidecar; the driver merges child snapshots instead.
-            "--telemetry" => {
-                telemetry_path = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage_error("--telemetry requires a file path")),
-                );
-                continue;
-            }
-            // Internal (spawned-child) flags: emit `@progress` /
-            // `@telemetry` protocol lines on stderr for the parent.
-            "--progress-stream" => {
-                progress_stream = true;
-                forward = false;
-            }
-            "--telemetry-stream" => {
-                telemetry_stream = true;
-                forward = false;
-            }
-            // Not forwarded: --shard cannot combine with --spawn-shards
-            // (rejected below), so passthrough never carries a shard spec.
-            "--shard" => {
-                let spec = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--shard requires an i/m argument"));
-                shard = Some(parse_shard_spec(&spec));
-                continue;
-            }
-            // Forwarded (flag and value) so spawned shards sweep through
-            // the same engine as the parent.
-            "--engine" => {
-                let name = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--engine requires stepped or batched"));
-                match engine::Engine::parse(&name) {
-                    Some(choice) => engine::set_engine(choice),
-                    None => usage_error(&format!(
-                        "--engine expects stepped or batched, got `{name}`"
-                    )),
-                }
-                passthrough.push(arg);
-                passthrough.push(name);
-                continue;
-            }
-            // Forwarded (flag and value): every process of a run —
-            // spawned shards, fabric workers, the driver — must open
-            // the same store so all of them skip the same cached
-            // sweeps and their ledgers/cursors stay aligned.
-            "--store" => {
-                let dir = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--store requires a directory"));
-                store_dir = Some(dir.clone());
-                passthrough.push(arg);
-                passthrough.push(dir);
-                continue;
-            }
-            "--spawn-shards" => {
-                let count = iter
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&m| m > 0)
-                    .unwrap_or_else(|| {
-                        usage_error("--spawn-shards requires a positive shard count")
-                    });
-                spawn = Some(count);
-                forward = false;
-            }
-            "--merge-shards" => {
-                // Everything after --merge-shards is a shard ledger file;
-                // experiment ids go before the flag.
-                merge_files = Some(iter.by_ref().collect());
-                continue;
-            }
-            // Not forwarded: workers get --fabric-worker ADDR instead.
-            "--fabric" => {
-                let spec = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--fabric requires workers=N"));
-                let count = spec
-                    .strip_prefix("workers=")
-                    .and_then(|n| n.parse::<usize>().ok())
-                    .filter(|&n| n > 0);
-                match count {
-                    Some(n) => fabric_workers = Some(n),
-                    None => usage_error(&format!(
-                        "--fabric expects workers=N with N > 0, got `{spec}`"
-                    )),
-                }
-                continue;
-            }
-            // Internal (fabric-worker) flag: pull leases from ADDR.
-            "--fabric-worker" => {
-                fabric_worker_addr = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage_error("--fabric-worker requires an address")),
-                );
-                continue;
-            }
-            // Driver-side only: the coordinator owns the checkpoint file.
-            "--fabric-checkpoint" => {
-                fabric_checkpoint =
-                    Some(iter.next().unwrap_or_else(|| {
-                        usage_error("--fabric-checkpoint requires a file path")
-                    }));
-                continue;
-            }
-            "--fabric-kill-one" => {
-                fabric_kill_one = true;
-                forward = false;
-            }
-            // Internal chaos hook, set by the driver on worker 0 under
-            // --fabric-kill-one.
-            "--fabric-self-kill" => {
-                fabric_self_kill = true;
-                forward = false;
-            }
-            "--plan" => {
-                plan = true;
-                forward = false;
-            }
-            other if other.starts_with("--") => {
-                usage_error(&format!("unknown flag: {other}"));
-            }
-            id => wanted.push(id.to_string()),
-        }
-        if forward {
-            passthrough.push(arg);
-        }
-    }
-    if sequential && parallel {
-        usage_error("--sequential and --parallel are mutually exclusive");
-    }
-    if emit_shard && shard.is_none() {
-        usage_error("--emit-shard requires --shard i/m");
-    }
-    // --shard implies --emit-shard: a shard run's rows are partial (one
-    // shard's worth of scenarios) and would be indistinguishable from full
-    // results, so the only meaningful stdout for a shard run is the ledger.
-    let emit_shard = emit_shard || shard.is_some();
-    if merge_files.is_some() && (shard.is_some() || emit_shard) {
-        usage_error("--merge-shards cannot be combined with --shard/--emit-shard");
-    }
-    if spawn.is_some() && (shard.is_some() || emit_shard || merge_files.is_some()) {
-        usage_error("--spawn-shards cannot be combined with --shard/--emit-shard/--merge-shards");
-    }
-    if telemetry_path.is_some() && merge_files.is_some() {
-        usage_error(
-            "--telemetry cannot be combined with --merge-shards: a merge replays recorded \
-             sweeps and executes nothing, so the sidecar would be vacuously empty",
-        );
-    }
-    // One execution topology per invocation: the fabric, the shard
-    // machinery, and the plan dry-run are mutually exclusive modes.
-    let sharded = shard.is_some() || emit_shard || spawn.is_some() || merge_files.is_some();
-    if fabric_workers.is_some() && (sharded || fabric_worker_addr.is_some()) {
-        usage_error("--fabric cannot be combined with --shard/--spawn-shards/--merge-shards");
-    }
-    if fabric_worker_addr.is_some() && sharded {
-        usage_error("--fabric-worker cannot be combined with the shard flags");
-    }
-    if (fabric_checkpoint.is_some() || fabric_kill_one) && fabric_workers.is_none() {
-        usage_error("--fabric-checkpoint/--fabric-kill-one require --fabric workers=N");
-    }
-    if fabric_kill_one && fabric_workers.is_some_and(|n| n < 2) {
-        usage_error("--fabric-kill-one needs workers=2 or more to have survivors");
-    }
-    if fabric_self_kill && fabric_worker_addr.is_none() {
-        usage_error("--fabric-self-kill is internal to fabric workers");
-    }
-    if plan && (sharded || fabric_workers.is_some() || fabric_worker_addr.is_some()) {
-        usage_error("--plan executes nothing and cannot combine with shard or fabric modes");
-    }
-    if plan && telemetry_path.is_some() {
-        usage_error("--telemetry with --plan would write a vacuously empty sidecar");
-    }
-    // `all` stays x1..x9: the topology sweeps (x10/x11) are the heaviest
-    // tables and are selected explicitly. `--topo` is a selector — alone
-    // it runs just x10; next to ids (or `all`) it adds x10 to them. An
-    // explicit `x10`/`x11` id survives an `all` expansion for the same
-    // reason.
-    let topo = topo || wanted.iter().any(|w| w == "x10");
-    if wanted.iter().any(|w| w == "all") || (wanted.is_empty() && !topo) {
-        let explicit_x11 = wanted.iter().any(|w| w == "x11");
-        wanted = ["x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9"]
-            .map(String::from)
-            .to_vec();
-        if explicit_x11 {
-            wanted.push("x11".into());
-        }
-    }
-    if topo && !wanted.iter().any(|w| w == "x10") {
-        wanted.push("x10".into());
-    }
-    // Telemetry session: installed only in processes that *execute*
-    // sweeps. The spawn and fabric drivers replay their children's
-    // merged ledgers, so observability flags translate into child
-    // stream flags instead of a local sink; a spawned child always has
-    // the stream flags, and a fabric worker always installs a sink —
-    // its snapshot rides the socket in its `Finished` frame.
-    let wants_local_telemetry = progress_stream
-        || telemetry_stream
-        || fabric_worker_addr.is_some()
-        || (spawn.is_none()
-            && fabric_workers.is_none()
-            && !plan
-            && (progress || telemetry_path.is_some()));
-    let session = wants_local_telemetry.then(telemetry::install);
-    let mut runner = if sequential {
+    let cli = Cli::parse(args);
+    let runner = if cli.sequential {
         Runner::sequential()
     } else {
         Runner::parallel()
     };
-    if let Some(metrics) = &session {
-        runner = runner.with_metrics(Arc::clone(metrics));
-    }
-    // Fabric workers and plan runs suppress ordinary emission exactly
-    // like shard runs: their rows are partial (or absent), so stdout
-    // carries only the mode's own stream (nothing for a worker, the
-    // plan lines for --plan).
-    let cfg = Config {
-        quick,
-        json,
-        emit_shard: emit_shard || fabric_worker_addr.is_some() || plan,
-        runner,
-    };
-
-    // The read-through result store, installed before any execution
-    // mode: the cache consultation happens per sweep inside
-    // `sweep_recorded`, upstream of the shard/fabric/replay machinery.
-    if let Some(dir) = &store_dir {
-        store::begin(std::path::Path::new(dir));
-    }
-
-    // The spawn/fabric drivers' merged child snapshot (written after the
+    // The fabric driver's merged worker snapshot (written after the
     // replayed render below, so a failed replay never leaves a sidecar).
-    let mut spawned_snapshot: Option<TelemetrySnapshot> = None;
-    if let Some((i, m)) = shard {
-        sharding::begin_shard(i, m);
-    } else if let Some(m) = spawn {
-        let (merged, snapshot) = spawn_shards(m, &passthrough, progress, telemetry_path.is_some());
-        spawned_snapshot = snapshot;
-        sharding::begin_replay(merged.records, merged.source);
-    } else if let Some(m) = fabric_workers {
-        let (merged, snapshot, stats) = run_fabric(
-            m,
-            &passthrough,
-            progress,
-            fabric_checkpoint.as_deref(),
-            fabric_kill_one,
-        );
-        if stats.reassigned > 0 || stats.duplicates > 0 || stats.resumed > 0 {
-            eprintln!(
-                "fabric: {} range(s) reassigned, {} duplicate result(s) discarded, \
-                 {} range(s) resumed from checkpoint",
-                stats.reassigned, stats.duplicates, stats.resumed
-            );
+    let mut fabric_snapshot: Option<TelemetrySnapshot> = None;
+    let plan = match &cli.mode {
+        Mode::Direct => ExecPlan::Direct,
+        Mode::DryRun => ExecPlan::DryRun,
+        Mode::Shard { shard, of } => ExecPlan::shard(*shard, *of),
+        Mode::Merge(files) => ExecPlan::Replay(merge_files(files)),
+        Mode::Fabric { workers } => {
+            let (ledger, snapshot) = run_fabric(&cli, *workers);
+            fabric_snapshot = Some(snapshot);
+            ExecPlan::Replay(ledger)
         }
-        if telemetry_path.is_some() {
-            spawned_snapshot = Some(snapshot);
-        }
-        sharding::begin_replay(merged.records, merged.source);
-    } else if let Some(addr) = &fabric_worker_addr {
-        fabric::begin_worker(addr, fabric_self_kill);
-    } else if plan {
-        plan::enable();
-    } else if let Some(files) = &merge_files {
-        let emissions: Vec<sharding::ShardEmission> = files
-            .iter()
-            .map(|path| {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| usage_error(&format!("cannot read {path}: {e}")));
-                serde_json::from_str(&text)
-                    .unwrap_or_else(|e| usage_error(&format!("{path} is not a shard ledger: {e}")))
-            })
-            .collect();
-        let merged = sharding::merge_emissions(emissions, files)
-            .unwrap_or_else(|e| usage_error(&format!("cannot merge shards: {e}")));
-        sharding::begin_replay(merged.records, merged.source);
+        Mode::FabricWorker { addr } => ExecPlan::FabricWorker(
+            WorkerSession::connect(addr, cli.self_kill)
+                .unwrap_or_else(|e| fail(&format!("cannot join the fabric at {addr}: {e}"))),
+        ),
+    };
+    let mut session = Session::new(runner, plan).with_engine(cli.engine);
+    if let Some(dir) = &cli.store {
+        session = session.with_store(open_store(dir));
     }
-
-    // Live progress over the local session: `--progress-stream`
-    // (machine lines for a parent driver) wins over `--progress`
-    // (human display) — a spawned child never renders its own display.
-    let reporter = match &session {
-        Some(metrics) if progress_stream => Some(ProgressReporter::stream(metrics)),
-        Some(metrics) if progress => Some(ProgressReporter::human(metrics)),
+    // A local telemetry sink only where sweeps execute: the fabric
+    // driver replays its workers' ledger (each worker always keeps a
+    // sink — its snapshot rides the socket in its `Finished` frame), and
+    // a dry run executes nothing.
+    let local_metrics = match cli.mode {
+        Mode::FabricWorker { .. } => true,
+        Mode::Fabric { .. } | Mode::DryRun => false,
+        _ => cli.progress || cli.progress_stream || cli.telemetry.is_some(),
+    };
+    if local_metrics {
+        session = session.with_metrics(Arc::new(Metrics::new()));
+    }
+    // `--progress-stream` (machine lines for a fabric driver) wins over
+    // `--progress` (human display).
+    let reporter = match session.metrics() {
+        Some(metrics) if cli.progress_stream => Some(ProgressReporter::stream(metrics)),
+        Some(metrics) if cli.progress => Some(ProgressReporter::human(metrics)),
         _ => None,
     };
 
-    for w in &wanted {
+    let mut cfg = Config {
+        quick: cli.quick,
+        json: cli.json,
+        session,
+    };
+    for w in &cli.wanted {
         match w.as_str() {
-            "x1" => x1(&cfg),
-            "x2" => x2(&cfg),
-            "x3" => x3(&cfg),
-            "x4" => x4(&cfg),
-            "x5" => x5(&cfg),
-            "x6" => x6(&cfg),
-            "x7" => x7(&cfg),
-            "x8" => x8(&cfg),
-            "x9" => x9(&cfg),
-            "x10" => x10(&cfg),
-            "x11" => x11(&cfg),
+            "x1" => x1(&mut cfg),
+            "x2" => x2(&mut cfg),
+            "x3" => x3(&mut cfg),
+            "x4" => x4(&mut cfg),
+            "x5" => x5(&mut cfg),
+            "x6" => x6(&mut cfg),
+            "x7" => x7(&mut cfg),
+            "x8" => x8(&mut cfg),
+            "x9" => x9(&mut cfg),
+            "x10" => x10(&mut cfg),
+            "x11" => x11(&mut cfg),
             other => eprintln!("unknown experiment: {other}"),
         }
     }
@@ -1045,39 +843,22 @@ fn main() {
     if let Some(reporter) = reporter {
         reporter.finish();
     }
-    if shard.is_some() {
-        let emission = sharding::finish_shard();
+    let metrics = cfg.session.metrics().cloned();
+    if let Some(emission) = cfg.session.finish() {
         println!(
             "{}",
             serde_json::to_string_pretty(&emission).expect("serializable ledger")
         );
-    } else if spawn.is_some() || merge_files.is_some() || fabric_workers.is_some() {
-        sharding::finish_replay();
     }
-    // A fabric worker's last act: deliver its telemetry snapshot over
-    // the socket and half-close, letting the coordinator's handler see
-    // a clean end of conversation.
-    if fabric_worker_addr.is_some() {
-        fabric::finish_worker();
-    }
-    // Telemetry emission, after every exact byte of output is out: the
-    // final `@telemetry` protocol line for a parent driver, the sidecar
-    // file for a local session, the merged child sidecar for the spawn
-    // driver.
-    if let Some(metrics) = &session {
-        if telemetry_stream {
-            eprintln!("{}", telemetry_line(&metrics.snapshot()));
+    // The sidecar, after every exact byte of output is out.
+    if let Some(path) = &cli.telemetry {
+        if let Some(snapshot) = fabric_snapshot.or_else(|| metrics.map(|m| m.snapshot())) {
+            write_sidecar(path, &snapshot);
         }
-        if let Some(path) = &telemetry_path {
-            write_sidecar(path, &metrics.snapshot());
-        }
-    }
-    if let (Some(path), Some(snapshot)) = (&telemetry_path, &spawned_snapshot) {
-        write_sidecar(path, snapshot);
     }
 }
 
-fn x1(cfg: &Config) {
+fn x1(cfg: &mut Config) {
     section(
         cfg,
         "\n## X1 — Proposition 2.1: Cheap (cost <= 3E, time <= (2L+1)E)\n",
@@ -1091,12 +872,12 @@ fn x1(cfg: &Config) {
         n,
         &ls,
         ls.iter().max().copied().unwrap_or(8) <= 8,
-        &cfg.runner,
+        &mut cfg.session,
     );
     emit(cfg, "x1", &rows, x1_cheap::render(&rows));
 }
 
-fn x2(cfg: &Config) {
+fn x2(cfg: &mut Config) {
     section(
         cfg,
         "\n## X2 — Proposition 2.2: Fast (time and cost O(E log L))\n",
@@ -1106,11 +887,11 @@ fn x2(cfg: &Config) {
     } else {
         (12, vec![2, 4, 8, 16, 64, 256])
     };
-    let rows = x2_fast::run(n, &ls, false, &cfg.runner);
+    let rows = x2_fast::run(n, &ls, false, &mut cfg.session);
     emit(cfg, "x2", &rows, x2_fast::render(&rows));
 }
 
-fn x3(cfg: &Config) {
+fn x3(cfg: &mut Config) {
     section(
         cfg,
         "\n## X3 — Proposition 2.3 / Corollary 2.1: FastWithRelabeling(w)\n",
@@ -1125,22 +906,22 @@ fn x3(cfg: &Config) {
     emit(cfg, "x3-bounds", &rows, x3_relabel::render_bounds(&rows));
     section(cfg, "\n### Measured on an oriented ring\n");
     let (n, l) = if cfg.quick { (6, 8) } else { (10, 16) };
-    let rows = x3_relabel::run_exec(n, l, &[1, 2, 3, 4], &cfg.runner);
+    let rows = x3_relabel::run_exec(n, l, &[1, 2, 3, 4], &mut cfg.session);
     emit(cfg, "x3-exec", &rows, x3_relabel::render_exec(&rows));
 }
 
-fn x4(cfg: &Config) {
+fn x4(cfg: &mut Config) {
     section(cfg, "\n## X4 — The time/cost tradeoff frontier\n");
     let (n, l, ws): (usize, u64, Vec<u64>) = if cfg.quick {
         (8, 32, vec![2, 3])
     } else {
         (12, 64, vec![1, 2, 3, 4, 5])
     };
-    let points = x4_tradeoff::run(n, l, &ws, &cfg.runner);
+    let points = x4_tradeoff::run(n, l, &ws, &mut cfg.session);
     emit(cfg, "x4", &points, x4_tradeoff::render(&points));
 }
 
-fn x5(cfg: &Config) {
+fn x5(cfg: &mut Config) {
     section(
         cfg,
         "\n## X5 — Theorem 3.1: cost E + o(E) forces time Omega(EL)\n",
@@ -1150,11 +931,11 @@ fn x5(cfg: &Config) {
     } else {
         (12, vec![4, 6, 8, 10, 12, 16])
     };
-    let rows = x5_lb_time::run(n, &ls, &cfg.runner);
+    let rows = x5_lb_time::run(n, &ls, &cfg.session);
     emit(cfg, "x5", &rows, x5_lb_time::render(&rows));
 }
 
-fn x6(cfg: &Config) {
+fn x6(cfg: &mut Config) {
     section(
         cfg,
         "\n## X6 — Theorem 3.2: time O(E log L) forces cost Omega(E log L)\n",
@@ -1164,35 +945,35 @@ fn x6(cfg: &Config) {
     } else {
         (12, vec![4, 8, 16, 32])
     };
-    let rows = x6_lb_cost::run(n, &ls, &cfg.runner);
+    let rows = x6_lb_cost::run(n, &ls, &cfg.session);
     emit(cfg, "x6", &rows, x6_lb_cost::render(&rows));
 }
 
-fn x7(cfg: &Config) {
+fn x7(cfg: &mut Config) {
     section(cfg, "\n## X7 — Graph families and exploration scenarios\n");
     let l = if cfg.quick { 4 } else { 8 };
-    let rows = x7_families::run(l, 0xBEEF, &cfg.runner);
+    let rows = x7_families::run(l, 0xBEEF, &mut cfg.session);
     emit(cfg, "x7", &rows, x7_families::render(&rows));
 }
 
-fn x8(cfg: &Config) {
+fn x8(cfg: &mut Config) {
     section(
         cfg,
         "\n## X8 — Unknown E: iterated algorithms (Conclusion)\n",
     );
     let ns: Vec<usize> = if cfg.quick { vec![6] } else { vec![6, 12, 24] };
-    let rows = x8_iterated::run(&ns, 4, &cfg.runner);
+    let rows = x8_iterated::run(&ns, 4, &mut cfg.session);
     emit(cfg, "x8", &rows, x8_iterated::render(&rows));
 }
 
-fn x10(cfg: &Config) {
+fn x10(cfg: &mut Config) {
     section(
         cfg,
         "\n## X10 — Topology sweep: 100+ seeded graphs per family\n",
     );
     let (l, cap) = if cfg.quick { (4, 6) } else { (6, 24) };
     let specs = x10_topologies::standard_topo_specs(cfg.quick);
-    let report = x10_topologies::run(specs, l, cap, &cfg.runner);
+    let report = x10_topologies::run(specs, l, cap, &mut cfg.session);
     emit(
         cfg,
         "x10",
@@ -1201,7 +982,7 @@ fn x10(cfg: &Config) {
     );
 }
 
-fn x11(cfg: &Config) {
+fn x11(cfg: &mut Config) {
     section(
         cfg,
         "\n## X11 — Gathering fleets across the topology grid\n",
@@ -1214,7 +995,7 @@ fn x11(cfg: &Config) {
         &x11_gathering_topo::standard_fleet_sizes(cfg.quick),
         &x11_gathering_topo::standard_phases(cfg.quick),
         cap,
-        &cfg.runner,
+        &mut cfg.session,
     );
     emit(
         cfg,
@@ -1224,7 +1005,7 @@ fn x11(cfg: &Config) {
     );
 }
 
-fn x9(cfg: &Config) {
+fn x9(cfg: &mut Config) {
     section(
         cfg,
         "\n## X9 — Extension: k-agent gathering by merge-and-restart\n",
@@ -1234,6 +1015,6 @@ fn x9(cfg: &Config) {
     } else {
         vec![2, 3, 4, 5, 6]
     };
-    let rows = x9_gathering::run(12, 32, &ks, &cfg.runner);
+    let rows = x9_gathering::run(12, 32, &ks, &mut cfg.session);
     emit(cfg, "x9", &rows, x9_gathering::render(&rows));
 }

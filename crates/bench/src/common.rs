@@ -2,14 +2,15 @@
 //! sweeps through the shared [`rendezvous_runner`] engine, and table
 //! rendering.
 
+use crate::engine::Engine;
+use crate::session::Session;
 use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_explore::{Explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, PortLabeledGraph};
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, GroupStats, PieceExecutor, Runner,
+    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, GroupStats, PieceExecutor,
     SweepReport, Workload,
 };
-use rendezvous_telemetry::Scope;
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -49,18 +50,15 @@ pub fn adversarial_grid(
         .all_start_pairs(algorithm.graph())
 }
 
-/// Sweeps any [`Workload`] through a [`PieceExecutor`], honoring an
-/// active sharding session (see [`crate::sharding`]): in shard mode only
-/// this process's shard of the workload executes and the partial
-/// [`SweepReport`] is recorded to the ledger; in replay mode a
-/// previously merged record stands in for execution — both transparently
-/// to callers. This is the **single** workload→report path of the
-/// experiments binary: the pair grids of X1–X8 ([`sweep_worst`]), the
-/// gathering fleet grids of X9, and the topology sweeps of X10/X11 all
-/// run through it, so `--shard`/`--merge-shards`/`--spawn-shards` ride
-/// one code path for every experiment — as do the fabric worker mode
-/// (lease-ranged execution via [`crate::fabric`]) and the `--plan` dry
-/// run (describe, don't execute, via [`crate::plan`]).
+/// Sweeps any [`Workload`] through a [`PieceExecutor`] under the
+/// session's [`ExecPlan`](crate::session::ExecPlan) (see
+/// [`Session::sweep`]): in full, as a dry-run line, as one shard
+/// recorded to the ledger, as a replayed merged record, or as fabric
+/// leases — transparently to callers, with the session's store in front.
+/// This is the **single** workload→report path of the experiments
+/// binary: the pair grids of X1–X8 ([`sweep_worst`]), the gathering
+/// fleet grids of X9, and the topology sweeps of X10/X11 all run through
+/// it, so every execution mode rides one code path for every experiment.
 ///
 /// # Panics
 ///
@@ -72,82 +70,18 @@ pub fn sweep_recorded<W, E>(
     context: &str,
     workload: &W,
     executor: &E,
-    runner: &Runner,
+    session: &mut Session,
 ) -> SweepReport
 where
     W: Workload + ?Sized,
     E: PieceExecutor + ?Sized,
 {
-    let meta = workload.meta();
-    // `--plan` dry run: describe the sweep, execute nothing. The empty
-    // report is safe downstream for the same reason empty shard folds
-    // are — every experiment tolerates partial stats, and emission is
-    // suppressed in plan mode.
-    if crate::plan::active() {
-        crate::plan::note(context, &meta, workload.pieces(0, workload.size()).len());
-        return SweepReport::default();
-    }
-    // Result store: a cached full report stands in for the whole sweep
-    // — zero scenarios execute, no sweep is counted, and every
-    // downstream topology (sharding, fabric, replay) is simply never
-    // consulted. Every process of a run derives the same key from the
-    // same store, so driver, shards and workers all skip the same
-    // sweeps and their cursors stay aligned.
-    if let Some(report) = crate::store::lookup(context, &meta) {
-        return report;
-    }
-    // Sweeps *executed* here (Full and Shard plans); a replayed record
-    // stands in for execution, so it deliberately counts nothing.
-    let count_sweep = || {
-        if let Some(metrics) = crate::telemetry::current() {
-            metrics.counter(Scope::Process, "sweeps").inc();
-        }
-    };
-    // Fabric worker: pull lease ranges from the coordinator instead of
-    // sweeping `[0, size())`. The returned report is this worker's own
-    // partial merge (possibly empty on a checkpoint resume), so the
-    // whole-sweep non-emptiness check does not apply — and, being
-    // partial, it must never reach the store.
-    if let Some(report) = crate::fabric::sweep_via_fabric(context, workload, executor, runner) {
-        count_sweep();
-        return report;
-    }
-    let report = match crate::sharding::plan_sweep(&meta) {
-        crate::sharding::SweepPlan::Full => {
-            count_sweep();
-            runner
-                .sweep(workload, executor)
-                .unwrap_or_else(|e| panic!("adversarial sweep failed for {context}: {e}"))
-        }
-        crate::sharding::SweepPlan::Shard { shard, of } => {
-            count_sweep();
-            let report = runner
-                .sweep_shard(workload, shard, of, executor)
-                .unwrap_or_else(|e| panic!("adversarial shard sweep failed for {context}: {e}"));
-            crate::sharding::record_sweep(crate::sharding::LedgerRecord::new(meta, report.clone()));
-            // A shard of a small workload may legitimately be empty, so
-            // the non-emptiness sanity check applies only to the whole
-            // space. Shard folds are partial: no store write-back.
-            assert!(workload.size() > 0, "empty adversarial sweep for {context}");
-            return report;
-        }
-        crate::sharding::SweepPlan::Replay(record) => record.report().clone(),
-    };
-    assert!(
-        report.executed() > 0,
-        "empty adversarial sweep for {context} — misconfigured workload \
-         (no label pairs, no delays, or a graph without distinct start pairs)"
-    );
-    // The two full-report paths (direct execution and merged replay —
-    // the latter is how `--spawn-shards` and `--fabric` drivers see
-    // their children's work) populate the cache for the next run.
-    crate::store::record(context, &meta, &report);
-    report
+    session.sweep(context, workload, executor).0
 }
 
-/// Sweeps the standard adversarial grid through the shared [`Runner`] and
-/// returns the full aggregate statistics, checked against the algorithm's
-/// paper bounds. Sharding sessions are honored via [`sweep_recorded`].
+/// Sweeps the standard adversarial grid through the session and returns
+/// the full aggregate statistics, checked against the algorithm's paper
+/// bounds. The session's plan is honored via [`sweep_recorded`].
 ///
 /// # Panics
 ///
@@ -160,7 +94,7 @@ pub fn sweep_worst(
     label_pairs: &[(u64, u64)],
     delays: &[u64],
     horizon: u64,
-    runner: &Runner,
+    session: &mut Session,
 ) -> GroupStats {
     let grid = adversarial_grid(algorithm, label_pairs, delays, horizon);
     let bounds = Some(Bounds {
@@ -169,29 +103,29 @@ pub fn sweep_worst(
     });
     // Both engines fold byte-identical reports (CI diffs them on every
     // push); `--engine batched` collapses the delay axis per start pair.
-    // An installed telemetry session observes either engine's executor —
-    // plan-cache hit rates and batch classification — without entering
-    // the fold (CI also diffs telemetry-on against telemetry-off).
-    let session = crate::telemetry::current();
-    let report = match crate::engine::current() {
-        crate::engine::Engine::Stepped => {
+    // A telemetry sink observes either engine's executor — plan-cache
+    // hit rates and batch classification — without entering the fold
+    // (CI also diffs telemetry-on against telemetry-off).
+    let metrics = session.metrics().cloned();
+    let report = match session.engine {
+        Engine::Stepped => {
             let mut executor = AlgorithmExecutor::new(algorithm);
-            if let Some(metrics) = &session {
+            if let Some(metrics) = &metrics {
                 executor = executor.with_metrics(metrics);
             }
             sweep_recorded(
                 algorithm.name(),
                 &grid,
                 &Bounded::new(&executor, bounds),
-                runner,
+                session,
             )
         }
-        crate::engine::Engine::Batched => {
+        Engine::Batched => {
             let mut executor = BatchExecutor::new(algorithm).with_bounds(bounds);
-            if let Some(metrics) = &session {
+            if let Some(metrics) = &metrics {
                 executor = executor.with_metrics(metrics);
             }
-            sweep_recorded(algorithm.name(), &grid, &executor, runner)
+            sweep_recorded(algorithm.name(), &grid, &executor, session)
         }
     };
     check_failures(algorithm, report.solo())
@@ -219,9 +153,9 @@ pub fn measure_worst(
     label_pairs: &[(u64, u64)],
     delays: &[u64],
     horizon: u64,
-    runner: &Runner,
+    session: &mut Session,
 ) -> Measured {
-    let stats = sweep_worst(algorithm, label_pairs, delays, horizon, runner);
+    let stats = sweep_worst(algorithm, label_pairs, delays, horizon, session);
     Measured {
         time: stats.max_time,
         cost: stats.max_cost,
@@ -295,6 +229,7 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
 mod tests {
     use super::*;
     use rendezvous_core::{Cheap, LabelSpace};
+    use rendezvous_runner::Runner;
 
     #[test]
     fn label_pair_samples() {
@@ -342,13 +277,12 @@ mod tests {
     fn measure_worst_respects_bounds_on_cheap() {
         let (g, ex) = ring_setup(6);
         let alg = Cheap::new(g, ex, LabelSpace::new(4).unwrap());
-        let runner = Runner::with_threads(2);
         let m = measure_worst(
             &alg,
             &all_label_pairs(4),
             &standard_delays(5),
             4 * alg.time_bound(),
-            &runner,
+            &mut Session::direct(Runner::with_threads(2)),
         );
         assert!(m.time <= alg.time_bound());
         assert!(m.cost <= alg.cost_bound());
@@ -364,7 +298,7 @@ mod tests {
             &all_label_pairs(4),
             &standard_delays(5),
             4 * alg.time_bound(),
-            &Runner::sequential(),
+            &mut Session::direct(Runner::sequential()),
         );
         assert!(stats.clean(), "Cheap must stay within its paper bounds");
         assert_eq!(

@@ -1,15 +1,12 @@
-//! Process-wide sweep-engine selection: the stepped simulator or the
-//! delay-batched trajectory solver.
+//! Sweep-engine selection: the stepped simulator or the delay-batched
+//! trajectory solver.
 //!
 //! Both engines produce byte-identical experiment outputs (that is
 //! CI-enforced); the choice is purely a throughput knob, surfaced as
-//! `experiments --engine {stepped,batched}`. Like the sharding session
-//! ([`crate::sharding`]), the selection is a process-global set once by
-//! the CLI before any sweep runs — experiment code just asks
-//! [`current`] at its executor switch points ([`crate::common::sweep_worst`]
-//! and the `x10` per-piece executor).
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! `experiments --engine {stepped,batched}`. The choice travels in the
+//! run's [`Session`](crate::session::Session) to its executor switch
+//! points ([`crate::common::sweep_worst`] and the `x10` per-piece
+//! executor).
 
 /// Which executor pair sweeps run through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,22 +42,6 @@ impl Engine {
     }
 }
 
-static ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the engine for every subsequent sweep in this process.
-pub fn set_engine(engine: Engine) {
-    ENGINE.store(engine as u8, Ordering::Relaxed);
-}
-
-/// The currently selected engine (default [`Engine::Stepped`]).
-#[must_use]
-pub fn current() -> Engine {
-    match ENGINE.load(Ordering::Relaxed) {
-        1 => Engine::Batched,
-        _ => Engine::Stepped,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,8 +53,7 @@ mod tests {
         assert_eq!(Engine::parse("turbo"), None);
         assert_eq!(Engine::Stepped.name(), "stepped");
         assert_eq!(Engine::Batched.name(), "batched");
-        // Default selection is the stepped reference engine. (Other
-        // tests never touch the global, so this is race-free.)
-        assert_eq!(current(), Engine::Stepped);
+        // The default is the stepped reference engine.
+        assert_eq!(Engine::default(), Engine::Stepped);
     }
 }

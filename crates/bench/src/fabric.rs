@@ -1,16 +1,16 @@
-//! The experiments binary's side of the sweep fabric: the process-global
-//! worker session.
+//! The experiments binary's side of the sweep fabric: the worker
+//! session behind [`ExecPlan::FabricWorker`](crate::session::ExecPlan).
 //!
 //! A fabric worker process (`experiments … --fabric-worker ADDR`) runs
 //! the *same* experiment sequence as a direct run — same selection,
-//! same workload construction, same engine — but every sweep inside
-//! [`sweep_recorded`](crate::common::sweep_recorded) detours through
-//! [`sweep_via_fabric`]: instead of executing `[0, size())`, the worker
-//! pulls lease ranges from the coordinator and executes exactly those
-//! through [`Runner::sweep_range`]. Because every worker walks the
-//! sweep sequence in the same order, the position of a sweep in that
-//! walk is its identity on the wire; the workload fingerprint sent with
-//! every request catches any process that disagrees.
+//! same workload construction, same engine — but every sweep that
+//! reaches its plan detours through [`WorkerSession`]'s lease loop: instead
+//! of executing `[0, size())`, the worker pulls lease ranges from the
+//! coordinator and executes exactly those through
+//! [`Runner::sweep_range`]. Because every worker walks the sweep
+//! sequence in the same order, the position of a sweep in that walk is
+//! its identity on the wire; the workload fingerprint sent with every
+//! request catches any process that disagrees.
 //!
 //! The session also hosts the chaos hook behind `--fabric-kill-one`:
 //! a worker launched with the internal `--fabric-self-kill` flag
@@ -18,147 +18,105 @@
 //! least one — mid-piece from the coordinator's point of view, which is
 //! precisely the window lease reassignment exists for.
 
-use rendezvous_fabric::WorkerClient;
+use rendezvous_fabric::{FabricError, WorkerClient};
 use rendezvous_runner::{PieceExecutor, Runner, SweepReport, Workload};
-use rendezvous_telemetry::TelemetrySnapshot;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use rendezvous_telemetry::{Metrics, TelemetrySnapshot};
+use std::sync::Arc;
 
-struct WorkerSession {
-    /// `None` after [`finish_worker`] hands the connection its snapshot.
-    client: Mutex<Option<WorkerClient>>,
-    /// Position of the *next* sweep in the walk — sweep identity.
-    cursor: AtomicUsize,
+/// One worker process's connection to the coordinator.
+pub struct WorkerSession {
+    client: WorkerClient,
     /// Leases completed by this process, across all sweeps.
-    completed: AtomicUsize,
+    completed: usize,
     /// The `--fabric-self-kill` chaos hook.
     self_kill: bool,
 }
 
-static SESSION: OnceLock<WorkerSession> = OnceLock::new();
+impl WorkerSession {
+    /// Connects this process to the coordinator at `addr`. The worker's
+    /// wire identity is its process id.
+    ///
+    /// # Errors
+    ///
+    /// Connection or handshake failures.
+    pub fn connect(addr: &str, self_kill: bool) -> Result<WorkerSession, FabricError> {
+        Ok(WorkerSession {
+            client: WorkerClient::connect(addr, u64::from(std::process::id()))?,
+            completed: 0,
+            self_kill,
+        })
+    }
 
-/// Connects this process to the coordinator at `addr` and installs the
-/// worker session. The worker's wire identity is its process id.
-///
-/// # Panics
-///
-/// Panics if the connection fails or a session is already installed.
-pub fn begin_worker(addr: &str, self_kill: bool) {
-    let client = WorkerClient::connect(addr, u64::from(std::process::id()))
-        .unwrap_or_else(|e| panic!("cannot join the fabric at {addr}: {e}"));
-    let installed = SESSION.set(WorkerSession {
-        client: Mutex::new(Some(client)),
-        cursor: AtomicUsize::new(0),
-        completed: AtomicUsize::new(0),
-        self_kill,
-    });
-    assert!(installed.is_ok(), "fabric worker session already active");
-}
-
-/// True when this process is a fabric worker.
-#[must_use]
-pub fn active() -> bool {
-    SESSION.get().is_some()
-}
-
-/// Ends the worker's conversation: sends the process's telemetry
-/// snapshot (empty if no sink is installed) and half-closes the socket.
-///
-/// # Panics
-///
-/// Panics if the final frame cannot be written or the session was
-/// already finished.
-pub fn finish_worker() {
-    let Some(session) = SESSION.get() else {
-        return;
-    };
-    let client = session
-        .client
-        .lock()
-        .expect("fabric client lock")
-        .take()
-        .expect("fabric worker session finished twice");
-    let snapshot =
-        crate::telemetry::current().map_or_else(TelemetrySnapshot::empty, |m| m.snapshot());
-    client
-        .finish(snapshot)
-        .unwrap_or_else(|e| panic!("fabric worker cannot deliver its snapshot: {e}"));
-}
-
-/// The fabric worker's sweep loop, or `None` when this process is not a
-/// worker (the caller then executes normally).
-///
-/// Pulls leases for the walk's next sweep until the coordinator reports
-/// it complete, executing each granted range through
-/// [`Runner::sweep_range`] and submitting its fold. Returns the local
-/// merge of this worker's own ranges — partial, and possibly empty on a
-/// resume of a finished checkpoint; output emission is suppressed in
-/// worker mode exactly as in `--emit-shard` mode, so partial rows never
-/// reach stdout.
-///
-/// # Panics
-///
-/// Panics on execution errors, wire failures, or coordinator faults —
-/// the worker exits nonzero, the coordinator sees the connection drop
-/// and requeues its leases, and the driver surfaces the diagnostics.
-pub fn sweep_via_fabric<W, E>(
-    context: &str,
-    workload: &W,
-    executor: &E,
-    runner: &Runner,
-) -> Option<SweepReport>
-where
-    W: Workload + ?Sized,
-    E: PieceExecutor + ?Sized,
-{
-    let session = SESSION.get()?;
-    let sweep = session.cursor.fetch_add(1, Ordering::SeqCst);
-    let meta = workload.meta();
-    let mut merged = SweepReport::default();
-    loop {
-        let lease = {
-            let mut slot = session.client.lock().expect("fabric client lock");
-            let client = slot
-                .as_mut()
-                .expect("sweep after the fabric session finished");
-            client.next_lease(sweep, meta)
-        };
-        match lease {
-            Ok(Some((lo, hi))) => {
-                session.maybe_self_kill();
-                let partial = runner
-                    .sweep_range(workload, lo, hi, executor)
-                    .unwrap_or_else(|e| {
-                        panic!("fabric sweep failed for {context} on [{lo}, {hi}): {e}")
-                    });
-                {
-                    let mut slot = session.client.lock().expect("fabric client lock");
-                    let client = slot
-                        .as_mut()
-                        .expect("sweep after the fabric session finished");
-                    client
+    /// The worker's sweep loop for sweep `sweep` of the walk.
+    ///
+    /// Pulls leases until the coordinator reports the sweep complete,
+    /// executing each granted range through [`Runner::sweep_range`] and
+    /// submitting its fold. Returns the local merge of this worker's own
+    /// ranges — partial, and possibly empty on a resume of a finished
+    /// checkpoint; a worker never emits rows, so partial rows never
+    /// reach stdout.
+    ///
+    /// # Panics
+    ///
+    /// Panics on execution errors, wire failures, or coordinator faults —
+    /// the worker exits nonzero, the coordinator sees the connection drop
+    /// and requeues its leases, and the driver surfaces the diagnostics.
+    pub(crate) fn sweep<W, E>(
+        &mut self,
+        sweep: usize,
+        context: &str,
+        workload: &W,
+        executor: &E,
+        runner: &Runner,
+    ) -> SweepReport
+    where
+        W: Workload + ?Sized,
+        E: PieceExecutor + ?Sized,
+    {
+        let meta = workload.meta();
+        let mut merged = SweepReport::default();
+        loop {
+            match self.client.next_lease(sweep, meta) {
+                Ok(Some((lo, hi))) => {
+                    self.maybe_self_kill();
+                    let partial = runner
+                        .sweep_range(workload, lo, hi, executor)
+                        .unwrap_or_else(|e| {
+                            panic!("fabric sweep failed for {context} on [{lo}, {hi}): {e}")
+                        });
+                    self.client
                         .submit(sweep, lo, hi, partial.clone())
                         .unwrap_or_else(|e| {
                             panic!("fabric worker cannot submit [{lo}, {hi}): {e}")
                         });
+                    self.completed += 1;
+                    merged = merged.merge(&partial);
                 }
-                session.completed.fetch_add(1, Ordering::SeqCst);
-                merged = merged.merge(&partial);
+                Ok(None) => return merged,
+                Err(e) => panic!("fabric worker lost its coordinator during {context}: {e}"),
             }
-            Ok(None) => break,
-            Err(e) => panic!("fabric worker lost its coordinator during {context}: {e}"),
         }
     }
-    Some(merged)
-}
 
-impl WorkerSession {
+    /// Ends the worker's conversation: sends the process's telemetry
+    /// snapshot (empty without a sink) and half-closes the socket.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the final frame cannot be written.
+    pub(crate) fn finish(self, metrics: Option<&Arc<Metrics>>) {
+        let snapshot = metrics.map_or_else(TelemetrySnapshot::empty, |m| m.snapshot());
+        self.client
+            .finish(snapshot)
+            .unwrap_or_else(|e| panic!("fabric worker cannot deliver its snapshot: {e}"));
+    }
+
     /// The `--fabric-self-kill` hook: once at least one lease has
     /// completed, dying on the *next* grant leaves that lease in flight
     /// — the reassignment path under test. SIGKILL (not a clean exit)
     /// so the coordinator learns only from the socket closing.
     fn maybe_self_kill(&self) {
-        if self.self_kill && self.completed.load(Ordering::SeqCst) >= 1 {
+        if self.self_kill && self.completed >= 1 {
             let pid = std::process::id().to_string();
             let _ = std::process::Command::new("kill")
                 .args(["-9", &pid])

@@ -13,15 +13,15 @@
 //! token path surfaces the miss kind verbatim.
 //!
 //! Byte-identity discipline: the compute path is
-//! [`sweep_single_spec`](crate::x10_topologies::sweep_single_spec) —
-//! the exact path `experiments query --direct` runs locally — so a
-//! served report and a direct run print identical bytes (CI diffs
-//! them on every push).
+//! [`sweep_spec`](crate::x10_topologies::sweep_spec) — the exact path
+//! `experiments query --direct` runs locally — so a served report and a
+//! direct run print identical bytes (CI diffs them on every push).
 
+use crate::session::Session;
 use rendezvous_fabric::wire::{read_json_frame, write_json_frame};
 use rendezvous_graph::GraphSpec;
-use rendezvous_runner::{Runner, SweepReport, Workload};
-use rendezvous_store::{Miss, Store, StoreKey, SCHEMA_VERSION};
+use rendezvous_runner::SweepReport;
+use rendezvous_store::{Miss, SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
@@ -97,21 +97,22 @@ pub enum Reply {
     Bye,
 }
 
-/// Runs the sweep service until a [`Query::Shutdown`] arrives: opens
-/// the store at `dir` (installing the process store session so the
-/// compute path reads through and writes back), binds a loopback
-/// socket, publishes its address to `addr_file` (atomically, for
-/// pollers), and answers queries one connection at a time.
+/// Runs the sweep service until a [`Query::Shutdown`] arrives: binds a
+/// loopback socket, publishes its address to `addr_file` (atomically,
+/// for pollers), and answers queries one connection at a time. Grid
+/// queries run through `session`, whose store the compute path reads
+/// through and writes back; token queries read that store directly.
 ///
 /// # Errors
 ///
-/// Returns a message when the store, the socket, or the address file
-/// cannot be set up, or when `accept` itself fails; a *per-connection*
-/// failure (malformed frame, peer gone) is logged to stderr and the
-/// server keeps serving.
-pub fn serve(dir: &Path, addr_file: Option<&Path>, runner: &Runner) -> Result<(), String> {
-    crate::store::begin(dir);
-    let store = Store::open(dir).map_err(|e| format!("cannot open the result store: {e}"))?;
+/// Returns a message when the session has no store, when the socket or
+/// the address file cannot be set up, or when `accept` itself fails; a
+/// *per-connection* failure (malformed frame, peer gone) is logged to
+/// stderr and the server keeps serving.
+pub fn serve(session: &mut Session, addr_file: Option<&Path>) -> Result<(), String> {
+    if session.store.is_none() {
+        return Err("the sweep service needs a result store".into());
+    }
     let listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| format!("cannot bind loopback: {e}"))?;
     let addr = listener
@@ -126,7 +127,7 @@ pub fn serve(dir: &Path, addr_file: Option<&Path>, runner: &Runner) -> Result<()
         let (stream, peer) = listener
             .accept()
             .map_err(|e| format!("accept failed: {e}"))?;
-        match converse(&store, stream, runner) {
+        match converse(session, stream) {
             Ok(true) => return Ok(()),
             Ok(false) => {}
             Err(e) => eprintln!("serve: connection from {peer} failed: {e}"),
@@ -146,7 +147,7 @@ fn publish_addr(path: &Path, addr: &str) -> Result<(), String> {
 /// Answers every query on one connection. `Ok(true)` means a
 /// `Shutdown` was served and the whole server should exit; `Ok(false)`
 /// is the client closing cleanly.
-fn converse(store: &Store, mut stream: TcpStream, runner: &Runner) -> Result<bool, String> {
+fn converse(session: &mut Session, mut stream: TcpStream) -> Result<bool, String> {
     loop {
         let query: Option<Query> =
             read_json_frame(&mut stream, "a query").map_err(|e| e.to_string())?;
@@ -154,7 +155,7 @@ fn converse(store: &Store, mut stream: TcpStream, runner: &Runner) -> Result<boo
             return Ok(false);
         };
         let shutdown = matches!(query, Query::Shutdown);
-        let reply = answer(store, query, runner);
+        let reply = answer(session, query);
         write_json_frame(&mut stream, &reply, "a reply").map_err(|e| e.to_string())?;
         if shutdown {
             return Ok(true);
@@ -162,7 +163,8 @@ fn converse(store: &Store, mut stream: TcpStream, runner: &Runner) -> Result<boo
     }
 }
 
-fn answer(store: &Store, query: Query, runner: &Runner) -> Reply {
+fn answer(session: &mut Session, query: Query) -> Reply {
+    let store = session.store.as_ref().expect("serve checked for a store");
     match query {
         Query::Shutdown => Reply::Bye,
         Query::Token { token } => match store.load_token(&token) {
@@ -178,7 +180,7 @@ fn answer(store: &Store, query: Query, runner: &Runner) -> Reply {
             spec,
             l,
             cap,
-        } => grid_reply(store, &algorithm, spec, l, cap, runner),
+        } => grid_reply(session, &algorithm, spec, l, cap),
     }
 }
 
@@ -199,21 +201,18 @@ fn refuse(miss: Miss) -> Reply {
 }
 
 /// The cached-or-computed path: validates the query (the compute
-/// helpers panic on degenerate grids, so refusal happens here), checks
-/// the store for the entry's presence *before* sweeping (that is the
-/// `cached` flag in the reply), and runs the same
-/// [`sweep_single_spec`](crate::x10_topologies::sweep_single_spec)
-/// path a direct run uses — which itself serves from / records into
-/// the store session.
+/// helpers panic on degenerate grids, so refusal happens here) and runs
+/// the same [`sweep_spec`](crate::x10_topologies::sweep_spec) path a
+/// direct run uses — which serves from / records into the session's
+/// store, and reports which of the two it did (the `cached` flag).
 fn grid_reply(
-    store: &Store,
+    session: &mut Session,
     algorithm: &str,
     spec: GraphSpec,
     l: u64,
     cap: usize,
-    runner: &Runner,
 ) -> Reply {
-    let Some(context) = crate::x10_topologies::serve_context(algorithm) else {
+    if crate::x10_topologies::serve_context(algorithm).is_none() {
         return Reply::BadQuery {
             reason: format!("unknown algorithm `{algorithm}` (expected cheap or fast)"),
         };
@@ -233,15 +232,12 @@ fn grid_reply(
             reason: format!("spec does not build: {e}"),
         };
     }
-    let (topo, _) = crate::x10_topologies::build_topo_grid(vec![spec.clone()], l, cap);
-    let key = StoreKey::new(context, &topo.meta(), crate::engine::current().name());
-    let cached = store.load(&key).is_ok();
-    let report = crate::x10_topologies::sweep_single_spec(algorithm, spec, l, cap, runner)
+    let swept = crate::x10_topologies::sweep_spec(session, algorithm, spec, l, cap)
         .expect("algorithm validated above");
     Reply::Report {
-        cached,
-        token: key.token().to_string(),
-        report,
+        cached: swept.cached,
+        token: swept.token,
+        report: swept.report,
     }
 }
 

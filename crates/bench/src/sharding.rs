@@ -26,131 +26,26 @@
 //! diagnostic naming the sweep position, the expected versus found record
 //! kind, and where the ledger came from — instead of folding garbage.
 //!
-//! The mode lives in a process-wide session (the experiments binary is
-//! single-threaded at the sweep-sequence level, and sweeps themselves may
-//! parallelize freely underneath); library users never touch it, and when
-//! no session is active [`plan_sweep`] says [`SweepPlan::Full`] — the
-//! ordinary single-process path.
+//! The shard index and the ledgers live in the run's
+//! [`ExecPlan`](crate::session::ExecPlan) (`Shard` owns the ledger it
+//! records, `Replay` owns the merged ledger it consumes); library users
+//! who never build such a plan get the ordinary single-process path.
 
 use rendezvous_runner::{SweepReport, WorkloadKind, WorkloadMeta};
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
-/// One sweep's entry in a shard ledger: the workload's self-description
-/// (kind + size fingerprint, used to detect mismatched shard runs at
-/// merge and replay time) plus the shard's partial report — or, after
-/// merging, the full one.
+/// One sweep's entry in a shard ledger: the workload's fingerprint
+/// (used to detect mismatched shard runs at merge and replay time) plus
+/// the shard's partial report — or, after merging, the full one. The
+/// same `(meta, report)` pair the fabric's checkpoint records and
+/// sweep outcomes carry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[must_use = "a ledger record exists to be serialized or merged; dropping it loses the shard"]
-pub enum LedgerRecord {
-    /// A scenario-grid sweep (pair or fleet mode) on one graph.
-    Grid {
-        /// Content digest of the swept space's defining parameters —
-        /// sizes can coincide across different grids, and this
-        /// disambiguates.
-        digest: u64,
-        /// Pre-cap size of the swept grid.
-        full_size: usize,
-        /// Post-cap size (what a full sweep executes).
-        size: usize,
-        /// The (partial or merged) fold.
-        report: SweepReport,
-    },
-    /// A topology sweep: per-spec grids concatenated over many graphs.
-    Topo {
-        /// Content digest of the spec list and per-spec grids.
-        digest: u64,
-        /// Pre-cap size of the concatenated per-spec spaces (saturating
-        /// sum) — post-cap totals can coincide across different spec
-        /// lists or caps, and this disambiguates, exactly as for `Grid`.
-        full_size: usize,
-        /// Total (spec × scenario) size of the swept `TopoGrid`.
-        size: usize,
-        /// The (partial or merged) per-family fold.
-        report: SweepReport,
-    },
-}
-
-impl LedgerRecord {
-    /// Builds the record of one workload's (partial) fold.
-    pub fn new(meta: WorkloadMeta, report: SweepReport) -> LedgerRecord {
-        match meta.kind {
-            WorkloadKind::Grid => LedgerRecord::Grid {
-                digest: meta.digest,
-                full_size: meta.full_size,
-                size: meta.size,
-                report,
-            },
-            WorkloadKind::Topo => LedgerRecord::Topo {
-                digest: meta.digest,
-                full_size: meta.full_size,
-                size: meta.size,
-                report,
-            },
-        }
-    }
-
-    /// Which workload kind produced this record.
-    #[must_use]
-    pub fn kind(&self) -> WorkloadKind {
-        match self {
-            LedgerRecord::Grid { .. } => WorkloadKind::Grid,
-            LedgerRecord::Topo { .. } => WorkloadKind::Topo,
-        }
-    }
-
-    /// The recorded post-cap workload size.
-    #[must_use]
-    pub fn size(&self) -> usize {
-        match self {
-            LedgerRecord::Grid { size, .. } | LedgerRecord::Topo { size, .. } => *size,
-        }
-    }
-
-    /// The recorded report.
-    pub fn report(&self) -> &SweepReport {
-        match self {
-            LedgerRecord::Grid { report, .. } | LedgerRecord::Topo { report, .. } => report,
-        }
-    }
-
-    /// Returns `true` when this record's fingerprint matches `meta` —
-    /// same kind, same post-cap size, same pre-cap space.
-    #[must_use]
-    pub fn matches(&self, meta: &WorkloadMeta) -> bool {
-        self.meta() == *meta
-    }
-
-    /// The recorded fingerprint as a [`WorkloadMeta`].
-    #[must_use]
-    pub fn meta(&self) -> WorkloadMeta {
-        let (kind, digest, full_size, size) = match self {
-            LedgerRecord::Grid {
-                digest,
-                full_size,
-                size,
-                ..
-            } => (WorkloadKind::Grid, *digest, *full_size, *size),
-            LedgerRecord::Topo {
-                digest,
-                full_size,
-                size,
-                ..
-            } => (WorkloadKind::Topo, *digest, *full_size, *size),
-        };
-        WorkloadMeta {
-            kind,
-            digest,
-            full_size,
-            size,
-        }
-    }
-
-    /// One-line fingerprint description for diagnostics.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        describe_meta(&self.meta())
-    }
+pub struct LedgerRecord {
+    /// Kind, content digest and sizes of the swept workload.
+    pub meta: WorkloadMeta,
+    /// The (partial or merged) fold.
+    pub report: SweepReport,
 }
 
 /// Fingerprint description of a workload (or recorded sweep), for
@@ -182,191 +77,6 @@ pub struct ShardEmission {
     pub records: Vec<LedgerRecord>,
 }
 
-/// What `sweep_recorded` should do for the next sweep.
-#[derive(Debug)]
-pub(crate) enum SweepPlan {
-    /// No session: execute the whole workload (the ordinary path).
-    Full,
-    /// Execute only this shard of the workload and record the partials.
-    Shard {
-        /// Shard index.
-        shard: usize,
-        /// Shard count.
-        of: usize,
-    },
-    /// Skip execution; this merged record is the sweep's result. (Boxed:
-    /// a record is an order of magnitude larger than the other variants.)
-    Replay(Box<LedgerRecord>),
-}
-
-enum Session {
-    Shard {
-        shard: usize,
-        of: usize,
-        ledger: Vec<LedgerRecord>,
-    },
-    Replay {
-        records: Vec<LedgerRecord>,
-        cursor: usize,
-        /// Where the merged ledger came from (file list or spawn
-        /// description) — named in every replay diagnostic.
-        source: String,
-    },
-}
-
-static SESSION: Mutex<Option<Session>> = Mutex::new(None);
-
-/// Switches this process into shard mode: every subsequent sweep executes
-/// only shard `shard` of `of` and records its partial report.
-///
-/// # Panics
-///
-/// Panics if `shard >= of`, `of == 0` or a session is already active.
-pub fn begin_shard(shard: usize, of: usize) {
-    assert!(of > 0 && shard < of, "invalid shard {shard}/{of}");
-    let mut session = SESSION.lock().expect("shard session poisoned");
-    assert!(session.is_none(), "a sweep session is already active");
-    *session = Some(Session::Shard {
-        shard,
-        of,
-        ledger: Vec::new(),
-    });
-}
-
-/// Ends shard mode and returns the emission document to print.
-///
-/// # Panics
-///
-/// Panics if no shard session is active.
-pub fn finish_shard() -> ShardEmission {
-    let mut session = SESSION.lock().expect("shard session poisoned");
-    match session.take() {
-        Some(Session::Shard { shard, of, ledger }) => ShardEmission {
-            shard,
-            of,
-            records: ledger,
-        },
-        _ => panic!("finish_shard without an active shard session"),
-    }
-}
-
-/// Switches this process into replay mode over merged records: every
-/// subsequent sweep consumes the ledger's next record instead of
-/// executing. `source` says where the ledger came from (the merged file
-/// names, or a spawn description) and is named in every diagnostic.
-///
-/// # Panics
-///
-/// Panics if a session is already active.
-pub fn begin_replay(records: Vec<LedgerRecord>, source: String) {
-    let mut session = SESSION.lock().expect("shard session poisoned");
-    assert!(session.is_none(), "a sweep session is already active");
-    *session = Some(Session::Replay {
-        records,
-        cursor: 0,
-        source,
-    });
-}
-
-/// Ends replay mode, verifying every merged record was consumed (a
-/// leftover means the merge inputs came from a different experiment
-/// selection than the replay run).
-///
-/// # Panics
-///
-/// Panics if records remain unconsumed or no replay session is active.
-pub fn finish_replay() {
-    let mut session = SESSION.lock().expect("shard session poisoned");
-    match session.take() {
-        Some(Session::Replay {
-            records,
-            cursor,
-            source,
-        }) => {
-            assert_eq!(
-                cursor,
-                records.len(),
-                "replay consumed {cursor} of {} merged sweeps from {source} — \
-                 the shard runs covered a different experiment selection than \
-                 this merge run",
-                records.len()
-            );
-        }
-        _ => panic!("finish_replay without an active replay session"),
-    }
-}
-
-/// Decides how the next sweep runs; called by
-/// [`common::sweep_recorded`](crate::common::sweep_recorded) once per
-/// sweep. `meta` is the fingerprint of the workload about to sweep — in
-/// replay mode the ledger's next record must match it.
-///
-/// # Panics
-///
-/// Panics in replay mode when the merged ledger is exhausted or its next
-/// record came from a different kind (or size) of sweep; the message
-/// names the sweep's position in the sequence, the expected versus found
-/// record, and the ledger's source.
-pub(crate) fn plan_sweep(meta: &WorkloadMeta) -> SweepPlan {
-    let mut session = SESSION.lock().expect("shard session poisoned");
-    // Diagnose inside the lock, panic outside it: a poisoned session
-    // would mask the actual diagnostic in every later caller.
-    let planned: Result<SweepPlan, String> = match session.as_mut() {
-        None => Ok(SweepPlan::Full),
-        Some(Session::Shard { shard, of, .. }) => Ok(SweepPlan::Shard {
-            shard: *shard,
-            of: *of,
-        }),
-        Some(Session::Replay {
-            records,
-            cursor,
-            source,
-        }) => match records.get(*cursor) {
-            None => Err(format!(
-                "sweep #{} ({}) requested but the merged ledger from {source} \
-                 holds only {} records — the shard runs covered a different \
-                 experiment selection",
-                *cursor,
-                describe_meta(meta),
-                records.len()
-            )),
-            Some(record) if !record.matches(meta) => Err(format!(
-                "sweep #{} expected a {} but the merged ledger from {source} \
-                 recorded a {} — shard and merge runs must use identical \
-                 experiment selections and flags",
-                *cursor,
-                describe_meta(meta),
-                record.describe()
-            )),
-            Some(record) => {
-                let plan = SweepPlan::Replay(Box::new(record.clone()));
-                *cursor += 1;
-                Ok(plan)
-            }
-        },
-    };
-    drop(session);
-    planned.unwrap_or_else(|msg| panic!("{msg}"))
-}
-
-/// Unconditionally clears any active session — the test-harness escape
-/// hatch for exercising replay **diagnostics**: a caught diagnostic
-/// panic leaves the (deliberately un-poisoned) session installed, and
-/// neither `finish_shard` nor `finish_replay` can retire it cleanly.
-/// The experiments binary never needs this.
-#[doc(hidden)]
-pub fn reset_session() {
-    *SESSION.lock().expect("shard session poisoned") = None;
-}
-
-/// Records one sweep's partial report in shard mode; no-op outside it.
-pub(crate) fn record_sweep(record: LedgerRecord) {
-    let mut session = SESSION.lock().expect("shard session poisoned");
-    if let Some(Session::Shard { ledger, .. }) = session.as_mut() {
-        ledger.push(record);
-    }
-}
-
 /// The merged ledger of all shards of one run: one full-sweep record per
 /// sweep, in call order, plus the provenance string replay diagnostics
 /// name.
@@ -374,14 +84,48 @@ pub(crate) fn record_sweep(record: LedgerRecord) {
 pub struct MergedLedger {
     /// One full-sweep record per `sweep_recorded` call.
     pub records: Vec<LedgerRecord>,
-    /// Where the emissions came from (file names or spawn description).
+    /// Where the records came from (shard file names or the fabric
+    /// coordinator).
     pub source: String,
+}
+
+impl MergedLedger {
+    /// The record replaying sweep `sweep` of the run, which must have
+    /// fingerprint `meta`.
+    ///
+    /// # Errors
+    ///
+    /// When the ledger is exhausted or its record came from a different
+    /// kind (or size) of sweep: the message names the sweep's position
+    /// in the sequence, the expected versus found record, and the
+    /// ledger's source.
+    pub fn record(&self, sweep: usize, meta: &WorkloadMeta) -> Result<&LedgerRecord, String> {
+        match self.records.get(sweep) {
+            None => Err(format!(
+                "sweep #{sweep} ({}) requested but the merged ledger from {} \
+                 holds only {} records — the shard runs covered a different \
+                 experiment selection",
+                describe_meta(meta),
+                self.source,
+                self.records.len()
+            )),
+            Some(record) if record.meta != *meta => Err(format!(
+                "sweep #{sweep} expected a {} but the merged ledger from {} \
+                 recorded a {} — shard and merge runs must use identical \
+                 experiment selections and flags",
+                describe_meta(meta),
+                self.source,
+                describe_meta(&record.meta)
+            )),
+            Some(record) => Ok(record),
+        }
+    }
 }
 
 /// Merges the emissions of all `of` shards into one full-sweep ledger,
 /// validating that the inputs are exactly shards `0..of` of the same
-/// sweep sequence. `names[i]` labels emission `i` (its file name, or a
-/// spawn description) so every inconsistency names the offending input.
+/// sweep sequence. `names[i]` labels emission `i` (its file name) so
+/// every inconsistency names the offending input.
 ///
 /// # Errors
 ///
@@ -446,33 +190,31 @@ pub fn merge_emissions(
         source: names.join(", "),
     };
     for sweep_idx in 0..expected_len {
-        let template = &emissions[0].0.records[sweep_idx];
+        let meta = emissions[0].0.records[sweep_idx].meta;
         let mut report = SweepReport::default();
         for (e, name) in &emissions {
             let record = &e.records[sweep_idx];
-            if !record.matches(&template.meta()) {
+            if record.meta != meta {
                 return Err(format!(
                     "sweep #{sweep_idx}: {name} (shard {}) recorded a {} but shard 0 \
                      recorded a {} — the runs used different parameters",
                     e.shard,
-                    record.describe(),
-                    template.describe()
+                    describe_meta(&record.meta),
+                    describe_meta(&meta)
                 ));
             }
-            report = report.merge(record.report());
+            report = report.merge(&record.report);
         }
-        if report.executed() != template.size() {
+        if report.executed() != meta.size {
             return Err(format!(
                 "sweep #{sweep_idx} ({}): merged shards executed {} of {} units — \
                  a shard is missing coverage",
-                template.describe(),
+                describe_meta(&meta),
                 report.executed(),
-                template.size()
+                meta.size
             ));
         }
-        merged
-            .records
-            .push(LedgerRecord::new(template.meta(), report));
+        merged.records.push(LedgerRecord { meta, report });
     }
     Ok(merged)
 }
@@ -491,10 +233,22 @@ mod tests {
                 ..GroupStats::default()
             });
         }
-        LedgerRecord::Grid {
-            digest: 7,
-            full_size: size,
-            size,
+        record(WorkloadKind::Grid, size, size, report)
+    }
+
+    fn record(
+        kind: WorkloadKind,
+        full_size: usize,
+        size: usize,
+        report: SweepReport,
+    ) -> LedgerRecord {
+        LedgerRecord {
+            meta: WorkloadMeta {
+                kind,
+                digest: 7,
+                full_size,
+                size,
+            },
             report,
         }
     }
@@ -510,12 +264,7 @@ mod tests {
             });
         }
         report.groups.sort_by(|a, b| a.key.cmp(&b.key));
-        LedgerRecord::Topo {
-            digest: 7,
-            full_size: size,
-            size,
-            report,
-        }
+        record(WorkloadKind::Topo, size, size, report)
     }
 
     fn emission(shard: usize, of: usize, records: Vec<LedgerRecord>) -> ShardEmission {
@@ -573,7 +322,7 @@ mod tests {
         ];
         let merged = merge_emissions(good, &names(2)).unwrap();
         assert_eq!(merged.records.len(), 1);
-        assert_eq!(merged.records[0].report().executed(), 4);
+        assert_eq!(merged.records[0].report.executed(), 4);
         assert_eq!(merged.source, "s0.json, s1.json");
     }
 
@@ -601,19 +350,17 @@ mod tests {
         );
         let merged = merge_emissions(vec![left, right], &names(2)).unwrap();
         assert_eq!(merged.records.len(), 3);
-        assert_eq!(merged.records[0].kind(), WorkloadKind::Grid);
-        assert_eq!(merged.records[1].kind(), WorkloadKind::Topo);
-        let topo = merged.records[1].report();
+        assert_eq!(merged.records[0].meta.kind, WorkloadKind::Grid);
+        assert_eq!(merged.records[1].meta.kind, WorkloadKind::Topo);
+        let topo = &merged.records[1].report;
         assert_eq!(topo.executed(), 6);
         assert_eq!(topo.group("ring").unwrap().executed, 2);
         assert_eq!(topo.group("tree").unwrap().executed, 4);
-        assert_eq!(merged.records[2].report().executed(), 2);
+        assert_eq!(merged.records[2].report.executed(), 2);
     }
 
-    // Replay diagnostics (ledger exhaustion, record-kind mismatch) are
-    // covered in `crates/bench/tests/ledger.rs`: they install the
-    // process-global session, which would race the other lib tests that
-    // sweep through `plan_sweep` concurrently in this binary.
+    // Replay diagnostics through the real sweep path (ledger exhaustion,
+    // record-kind mismatch) are covered in `crates/bench/tests/ledger.rs`.
 
     #[test]
     fn emission_serde_round_trip_is_byte_identical() {
@@ -644,12 +391,7 @@ mod tests {
             3,
             vec![
                 grid_record(5, 15),
-                LedgerRecord::Grid {
-                    digest: 7,
-                    full_size: 40,
-                    size: 12,
-                    report: fleet_report,
-                },
+                record(WorkloadKind::Grid, 40, 12, fleet_report),
                 topo_record(&[("ring", 4)], 12),
             ],
         );
@@ -659,7 +401,7 @@ mod tests {
         assert_eq!(back.shard, 1);
         assert_eq!(back.of, 3);
         assert_eq!(back.records.len(), 3);
-        assert_eq!(back.records[1].report().solo().merges, 3);
-        assert_eq!(back.records[2].report().group("ring").unwrap().executed, 4);
+        assert_eq!(back.records[1].report.solo().merges, 3);
+        assert_eq!(back.records[2].report.group("ring").unwrap().executed, 4);
     }
 }

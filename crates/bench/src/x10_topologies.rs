@@ -12,19 +12,22 @@
 //! back with replayable `(spec, scenario)` witnesses.
 //!
 //! The sweep shards across processes exactly like the scenario sweeps —
-//! a [`TopoGrid`] is just another [`Workload`](rendezvous_runner::Workload):
+//! a [`TopoGrid`] is just another [`Workload`]:
 //! `experiments x10 --shard i/m --emit-shard` / `--merge-shards` carry
 //! per-shard [`SweepReport`]s through the unified shard ledger, and the
 //! merged run is byte-identical to a direct one (CI-checked).
 
 use crate::common::{markdown_table, standard_delays, standard_label_pairs};
+use crate::engine::Engine;
+use crate::session::Session;
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
 use rendezvous_graph::{ErdosRenyiSpec, GraphSpec, RegularSpec, RingSpec, SeededSpec, TorusSpec};
 use rendezvous_runner::{
     AlgorithmExecutor, BatchExecutor, Bounds, Grid, PieceExecutor, Runner, RunnerError,
-    ScenarioOutcome, SweepReport, TopoEntry, TopoGrid, WorkPiece,
+    ScenarioOutcome, SweepReport, TopoEntry, TopoGrid, WorkPiece, Workload,
 };
+use rendezvous_telemetry::Metrics;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -92,9 +95,29 @@ struct AlgoTopoExecutor {
     which: Algo,
     /// `spec_index → explorer`, parallel to the topo grid's entries.
     explorers: Arc<Vec<Arc<dyn Explorer>>>,
+    /// The session's engine and telemetry sink, copied in: pieces run
+    /// on the runner's threads while the session itself stays with the
+    /// sweep loop.
+    engine: Engine,
+    metrics: Option<Arc<Metrics>>,
 }
 
 impl AlgoTopoExecutor {
+    fn new(
+        session: &Session,
+        space: LabelSpace,
+        which: Algo,
+        explorers: Arc<Vec<Arc<dyn Explorer>>>,
+    ) -> AlgoTopoExecutor {
+        AlgoTopoExecutor {
+            space,
+            which,
+            explorers,
+            engine: session.engine,
+            metrics: session.metrics().cloned(),
+        }
+    }
+
     fn algorithm(&self, entry: &TopoEntry) -> Box<dyn RendezvousAlgorithm> {
         let explorer = Arc::clone(&self.explorers[entry.spec_index]);
         match self.which {
@@ -120,19 +143,18 @@ impl PieceExecutor for AlgoTopoExecutor {
         // `common::sweep_worst`: the batched executor folds at the
         // piece's global offsets, so reports and the shard ledger stay
         // byte-identical either way.
-        let session = crate::telemetry::current();
-        match crate::engine::current() {
-            crate::engine::Engine::Stepped => {
+        match self.engine {
+            Engine::Stepped => {
                 let mut executor = AlgorithmExecutor::new(alg.as_ref());
-                if let Some(metrics) = &session {
+                if let Some(metrics) = &self.metrics {
                     executor = executor.with_metrics(metrics);
                 }
                 let outcomes = runner.outcomes(&executor, &piece.scenarios)?;
                 Ok((outcomes, Some(bounds)))
             }
-            crate::engine::Engine::Batched => {
+            Engine::Batched => {
                 let mut executor = BatchExecutor::new(alg.as_ref()).with_bounds(Some(bounds));
-                if let Some(metrics) = &session {
+                if let Some(metrics) = &self.metrics {
                     executor = executor.with_metrics(metrics);
                 }
                 executor.run_piece(runner, piece)
@@ -193,18 +215,14 @@ pub fn serve_context(algorithm: &str) -> Option<&'static str> {
     }
 }
 
-/// Sweeps a **single** seeded topology with one algorithm through the
-/// shared recorded-sweep path — the compute side of the sweep service.
-/// A served answer and a `query --direct` run both land here with the
-/// same [`serve_context`], so they consult (and populate) the same
-/// store entry and print byte-identical reports. `None` when
-/// `algorithm` is not `cheap`/`fast`.
+/// Sweeps a **single** seeded topology with one algorithm in a direct
+/// session on `runner` — see [`sweep_spec`]. `None` when `algorithm`
+/// is not `cheap`/`fast`.
 ///
 /// # Panics
 ///
 /// Panics if the spec does not build or the grid is degenerate (`l <
-/// 2`, `cap == 0`) — the serve front end validates queries before
-/// calling, and the CLI treats its own arguments as trusted input.
+/// 2`, `cap == 0`).
 #[must_use]
 pub fn sweep_single_spec(
     algorithm: &str,
@@ -213,24 +231,61 @@ pub fn sweep_single_spec(
     cap: usize,
     runner: &Runner,
 ) -> Option<SweepReport> {
-    let (which, context) = match algorithm {
-        "cheap" => (Algo::Cheap, "serve cheap"),
-        "fast" => (Algo::Fast, "serve fast"),
+    let mut session = Session::direct(runner.clone());
+    sweep_spec(&mut session, algorithm, spec, l, cap).map(|swept| swept.report)
+}
+
+/// One [`sweep_spec`] answer.
+#[derive(Debug)]
+pub struct SpecSweep {
+    /// The sweep's full report.
+    pub report: SweepReport,
+    /// True when the session's store served the report.
+    pub cached: bool,
+    /// The store token addressing the sweep under the session's engine.
+    pub token: String,
+}
+
+/// Sweeps a **single** seeded topology with one algorithm through the
+/// session's recorded-sweep path — the compute side of the sweep
+/// service. A served answer and a `query --direct` run both land here
+/// with the same [`serve_context`], so they consult (and populate) the
+/// same store entry and print byte-identical reports. `None` when
+/// `algorithm` is not `cheap`/`fast`.
+///
+/// # Panics
+///
+/// Panics if the spec does not build or the grid is degenerate (`l <
+/// 2`, `cap == 0`) — the serve front end validates queries before
+/// calling, and the CLI treats its own arguments as trusted input.
+pub fn sweep_spec(
+    session: &mut Session,
+    algorithm: &str,
+    spec: GraphSpec,
+    l: u64,
+    cap: usize,
+) -> Option<SpecSweep> {
+    let which = match algorithm {
+        "cheap" => Algo::Cheap,
+        "fast" => Algo::Fast,
         _ => return None,
     };
+    let context = serve_context(algorithm)?;
     let space = LabelSpace::new(l).expect("l >= 2");
     let (topo, explorers) = build_topo_grid(vec![spec], l, cap);
-    let exec = AlgoTopoExecutor {
-        space,
-        which,
-        explorers,
-    };
-    Some(crate::common::sweep_recorded(context, &topo, &exec, runner))
+    let exec = AlgoTopoExecutor::new(session, space, which, explorers);
+    let token = session.key(context, &topo.meta()).token().to_string();
+    let (report, cached) = session.sweep(context, &topo, &exec);
+    Some(SpecSweep {
+        report,
+        cached,
+        token,
+    })
 }
 
 /// Sweeps one algorithm over the topo grid through the shared
-/// [`common::sweep_recorded`](crate::common::sweep_recorded)
-/// shard/replay path, asserting the paper's bounds held everywhere.
+/// [`common::sweep_recorded`](crate::common::sweep_recorded) path,
+/// asserting the paper's bounds held everywhere.
 ///
 /// # Panics
 ///
@@ -241,9 +296,9 @@ fn sweep_topo_worst(
     context: &str,
     topo: &TopoGrid,
     exec: &AlgoTopoExecutor,
-    runner: &Runner,
+    session: &mut Session,
 ) -> SweepReport {
-    let report = crate::common::sweep_recorded(context, topo, exec, runner);
+    let report = crate::common::sweep_recorded(context, topo, exec, session);
     assert!(
         report.clean(),
         "paper bounds broken on a sampled topology: {} failures, {} violations",
@@ -304,29 +359,13 @@ pub struct Report {
 /// Panics if any sampled scenario breaks the paper bounds — that is the
 /// claim under test.
 #[must_use]
-pub fn run(specs: Vec<GraphSpec>, l: u64, cap: usize, runner: &Runner) -> Report {
+pub fn run(specs: Vec<GraphSpec>, l: u64, cap: usize, session: &mut Session) -> Report {
     let space = LabelSpace::new(l).expect("l >= 2");
     let (topo, explorers) = build_topo_grid(specs, l, cap);
-    let cheap = sweep_topo_worst(
-        "x10 cheap",
-        &topo,
-        &AlgoTopoExecutor {
-            space,
-            which: Algo::Cheap,
-            explorers: Arc::clone(&explorers),
-        },
-        runner,
-    );
-    let fast = sweep_topo_worst(
-        "x10 fast",
-        &topo,
-        &AlgoTopoExecutor {
-            space,
-            which: Algo::Fast,
-            explorers,
-        },
-        runner,
-    );
+    let cheap_exec = AlgoTopoExecutor::new(session, space, Algo::Cheap, Arc::clone(&explorers));
+    let cheap = sweep_topo_worst("x10 cheap", &topo, &cheap_exec, session);
+    let fast_exec = AlgoTopoExecutor::new(session, space, Algo::Fast, explorers);
+    let fast = sweep_topo_worst("x10 fast", &topo, &fast_exec, session);
     // Family → spec count from the grid itself (identical in direct,
     // shard and replay runs, since all rebuild the same TopoGrid).
     let mut spec_counts: Vec<(String, usize)> = Vec::new();
@@ -403,7 +442,7 @@ mod tests {
     #[test]
     fn x10_hundred_seeded_graphs_per_family_stay_within_bounds() {
         let specs = standard_topo_specs(true);
-        let report = run(specs, 4, 3, &Runner::parallel());
+        let report = run(specs, 4, 3, &mut Session::direct(Runner::parallel()));
         assert_eq!(report.rows.len(), 6, "six families");
         for row in &report.rows {
             assert!(

@@ -20,6 +20,7 @@
 //! the merged run is byte-identical to a direct one (CI-checked).
 
 use crate::common::{markdown_table, sweep_recorded};
+use crate::session::Session;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
 use rendezvous_graph::GraphSpec;
@@ -188,7 +189,7 @@ pub struct Report {
 }
 
 /// Runs X11: builds the gathering topo grid over `specs`, sweeps it
-/// (honoring an active sharding session), and folds per-family rows.
+/// through the session's plan, and folds per-family rows.
 ///
 /// # Panics
 ///
@@ -202,7 +203,7 @@ pub fn run(
     ks: &[usize],
     phases: &[u64],
     cap: usize,
-    runner: &Runner,
+    session: &mut Session,
 ) -> Report {
     let space = LabelSpace::new(l).expect("l >= 2");
     let (topo, contexts) = build_gathering_topo_grid(specs, l, ks, phases, cap);
@@ -210,7 +211,7 @@ pub fn run(
         "x11 gathering",
         &topo,
         &GatheringTopoExecutor { space, contexts },
-        runner,
+        session,
     );
     assert!(
         stats.clean(),
@@ -297,7 +298,14 @@ mod tests {
             .step_by(7)
             .take(30)
             .collect();
-        let report = run(specs, 4, &[2, 3], &[0, 5], 2, &Runner::parallel());
+        let report = run(
+            specs,
+            4,
+            &[2, 3],
+            &[0, 5],
+            2,
+            &mut Session::direct(Runner::parallel()),
+        );
         assert_eq!(report.rows.len(), 6, "six families");
         for row in &report.rows {
             assert!(row.scenarios > 0, "{}: empty grids", row.family);

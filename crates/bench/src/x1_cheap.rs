@@ -8,8 +8,8 @@
 use crate::common::{
     all_label_pairs, measure_worst, ring_setup, standard_delays, standard_label_pairs,
 };
+use crate::session::Session;
 use rendezvous_core::{Cheap, CheapSimultaneous, LabelSpace, RendezvousAlgorithm};
-use rendezvous_runner::Runner;
 use serde::Serialize;
 
 /// One row of the X1 table.
@@ -42,7 +42,7 @@ pub struct Row {
 /// Runs the sweep. `exhaustive_labels` switches between all `C(L,2)` label
 /// pairs (slow, small `L`) and the standard adversarial sample.
 #[must_use]
-pub fn run(n: usize, ls: &[u64], exhaustive_labels: bool, runner: &Runner) -> Vec<Row> {
+pub fn run(n: usize, ls: &[u64], exhaustive_labels: bool, session: &mut Session) -> Vec<Row> {
     let (g, ex) = ring_setup(n);
     let e = (n - 1) as u64;
     let delays = standard_delays(e);
@@ -55,9 +55,9 @@ pub fn run(n: usize, ls: &[u64], exhaustive_labels: bool, runner: &Runner) -> Ve
                 standard_label_pairs(l)
             };
             let cheap = Cheap::new(g.clone(), ex.clone(), space);
-            let mc = measure_worst(&cheap, &pairs, &delays, 4 * cheap.time_bound(), runner);
+            let mc = measure_worst(&cheap, &pairs, &delays, 4 * cheap.time_bound(), session);
             let sim = CheapSimultaneous::new(g.clone(), ex.clone(), space);
-            let ms = measure_worst(&sim, &pairs, &[0], 4 * sim.time_bound() + e, runner);
+            let ms = measure_worst(&sim, &pairs, &[0], 4 * sim.time_bound() + e, session);
             Row {
                 n,
                 l,
@@ -115,10 +115,16 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendezvous_runner::Runner;
 
     #[test]
     fn x1_bounds_hold_and_shape_is_linear_in_l() {
-        let rows = run(8, &[2, 4, 8], true, &Runner::with_threads(4));
+        let rows = run(
+            8,
+            &[2, 4, 8],
+            true,
+            &mut Session::direct(Runner::with_threads(4)),
+        );
         for r in &rows {
             assert!(r.cheap_time <= r.cheap_time_bound);
             assert!(r.cheap_cost <= r.cheap_cost_bound);

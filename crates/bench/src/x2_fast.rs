@@ -6,8 +6,8 @@
 use crate::common::{
     all_label_pairs, measure_worst, ring_setup, standard_delays, standard_label_pairs,
 };
+use crate::session::Session;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
-use rendezvous_runner::Runner;
 use serde::Serialize;
 
 /// One row of the X2 table.
@@ -31,7 +31,7 @@ pub struct Row {
 
 /// Runs the sweep (see [`crate::x1_cheap::run`] for the flags).
 #[must_use]
-pub fn run(n: usize, ls: &[u64], exhaustive_labels: bool, runner: &Runner) -> Vec<Row> {
+pub fn run(n: usize, ls: &[u64], exhaustive_labels: bool, session: &mut Session) -> Vec<Row> {
     let (g, ex) = ring_setup(n);
     let e = (n - 1) as u64;
     let delays = standard_delays(e);
@@ -44,7 +44,7 @@ pub fn run(n: usize, ls: &[u64], exhaustive_labels: bool, runner: &Runner) -> Ve
                 standard_label_pairs(l)
             };
             let alg = Fast::new(g.clone(), ex.clone(), space);
-            let m = measure_worst(&alg, &pairs, &delays, 4 * alg.time_bound(), runner);
+            let m = measure_worst(&alg, &pairs, &delays, 4 * alg.time_bound(), session);
             Row {
                 n,
                 l,
@@ -90,10 +90,16 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendezvous_runner::Runner;
 
     #[test]
     fn x2_bounds_hold_and_growth_is_logarithmic() {
-        let rows = run(8, &[2, 8, 64], false, &Runner::with_threads(4));
+        let rows = run(
+            8,
+            &[2, 8, 64],
+            false,
+            &mut Session::direct(Runner::with_threads(4)),
+        );
         for r in &rows {
             assert!(r.time <= r.time_bound, "time {} > {}", r.time, r.time_bound);
             assert!(r.cost <= r.cost_bound);

@@ -7,10 +7,10 @@
 //! ring checking measured ≤ bound.
 
 use crate::common::{all_label_pairs, measure_worst, ring_setup, standard_delays};
+use crate::session::Session;
 use rendezvous_core::{
     corollary_t_prime, smallest_t, FastWithRelabeling, LabelSpace, RendezvousAlgorithm,
 };
-use rendezvous_runner::Runner;
 use serde::Serialize;
 
 /// Analytic row: the bound structure for one `(L, w)`.
@@ -75,7 +75,7 @@ pub fn run_bounds(ls: &[u64], ws: &[u64]) -> Vec<BoundRow> {
 
 /// Execution sweep on an oriented ring, exhaustive over label pairs.
 #[must_use]
-pub fn run_exec(n: usize, l: u64, ws: &[u64], runner: &Runner) -> Vec<ExecRow> {
+pub fn run_exec(n: usize, l: u64, ws: &[u64], session: &mut Session) -> Vec<ExecRow> {
     let (g, ex) = ring_setup(n);
     let e = (n - 1) as u64;
     let delays = standard_delays(e);
@@ -90,7 +90,7 @@ pub fn run_exec(n: usize, l: u64, ws: &[u64], runner: &Runner) -> Vec<ExecRow> {
                 w,
             )
             .expect("valid weight");
-            let m = measure_worst(&alg, &pairs, &delays, 4 * alg.time_bound(), runner);
+            let m = measure_worst(&alg, &pairs, &delays, 4 * alg.time_bound(), session);
             ExecRow {
                 n,
                 l,
@@ -163,6 +163,7 @@ pub fn render_exec(rows: &[ExecRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendezvous_runner::Runner;
 
     #[test]
     fn x3_bounds_scale_as_l_to_one_over_w() {
@@ -186,7 +187,12 @@ mod tests {
 
     #[test]
     fn x3_exec_within_bounds() {
-        let rows = run_exec(6, 8, &[1, 2, 3], &Runner::with_threads(4));
+        let rows = run_exec(
+            6,
+            8,
+            &[1, 2, 3],
+            &mut Session::direct(Runner::with_threads(4)),
+        );
         for r in &rows {
             assert!(r.time <= r.time_bound);
             assert!(r.cost <= r.cost_bound);

@@ -8,10 +8,10 @@
 //! between them as `w` grows.
 
 use crate::common::{measure_worst, ring_setup, standard_delays, standard_label_pairs};
+use crate::session::Session;
 use rendezvous_core::{
     Cheap, CheapSimultaneous, Fast, FastWithRelabeling, LabelSpace, RendezvousAlgorithm,
 };
-use rendezvous_runner::Runner;
 use serde::Serialize;
 
 /// One point of the frontier.
@@ -31,7 +31,7 @@ pub struct Point {
 
 /// Runs every algorithm on an `n`-ring with label space `L`.
 #[must_use]
-pub fn run(n: usize, l: u64, ws: &[u64], runner: &Runner) -> Vec<Point> {
+pub fn run(n: usize, l: u64, ws: &[u64], session: &mut Session) -> Vec<Point> {
     let (g, ex) = ring_setup(n);
     let e = (n - 1) as u64;
     let space = LabelSpace::new(l).expect("l >= 2");
@@ -40,7 +40,7 @@ pub fn run(n: usize, l: u64, ws: &[u64], runner: &Runner) -> Vec<Point> {
     let mut points = Vec::new();
 
     let sim = CheapSimultaneous::new(g.clone(), ex.clone(), space);
-    let m = measure_worst(&sim, &pairs, &[0], 4 * sim.time_bound() + e, runner);
+    let m = measure_worst(&sim, &pairs, &[0], 4 * sim.time_bound() + e, session);
     points.push(Point {
         algorithm: "cheap-simultaneous".into(),
         time: m.time,
@@ -50,7 +50,7 @@ pub fn run(n: usize, l: u64, ws: &[u64], runner: &Runner) -> Vec<Point> {
     });
 
     let cheap = Cheap::new(g.clone(), ex.clone(), space);
-    let m = measure_worst(&cheap, &pairs, &delays, 4 * cheap.time_bound(), runner);
+    let m = measure_worst(&cheap, &pairs, &delays, 4 * cheap.time_bound(), session);
     points.push(Point {
         algorithm: "cheap".into(),
         time: m.time,
@@ -64,7 +64,7 @@ pub fn run(n: usize, l: u64, ws: &[u64], runner: &Runner) -> Vec<Point> {
             continue;
         }
         let alg = FastWithRelabeling::new(g.clone(), ex.clone(), space, w).expect("valid w");
-        let m = measure_worst(&alg, &pairs, &delays, 4 * alg.time_bound(), runner);
+        let m = measure_worst(&alg, &pairs, &delays, 4 * alg.time_bound(), session);
         points.push(Point {
             algorithm: format!("fwr(w={w})"),
             time: m.time,
@@ -75,7 +75,7 @@ pub fn run(n: usize, l: u64, ws: &[u64], runner: &Runner) -> Vec<Point> {
     }
 
     let fast = Fast::new(g, ex, space);
-    let m = measure_worst(&fast, &pairs, &delays, 4 * fast.time_bound(), runner);
+    let m = measure_worst(&fast, &pairs, &delays, 4 * fast.time_bound(), session);
     points.push(Point {
         algorithm: "fast".into(),
         time: m.time,
@@ -109,10 +109,16 @@ pub fn render(points: &[Point]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendezvous_runner::Runner;
 
     #[test]
     fn x4_frontier_shape() {
-        let points = run(8, 32, &[2, 3], &Runner::with_threads(4));
+        let points = run(
+            8,
+            32,
+            &[2, 3],
+            &mut Session::direct(Runner::with_threads(4)),
+        );
         let by_name = |n: &str| points.iter().find(|p| p.algorithm == n).unwrap();
         let cheap = by_name("cheap");
         let fast = by_name("fast");

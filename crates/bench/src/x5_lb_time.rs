@@ -8,9 +8,9 @@
 //! matching upper bound — the time really does grow linearly in `L`.
 
 use crate::common::ring_setup;
+use crate::session::Session;
 use rendezvous_core::{CheapSimultaneous, LabelSpace, RendezvousAlgorithm};
 use rendezvous_lower_bounds::eager_chain_audit;
-use rendezvous_runner::Runner;
 use serde::Serialize;
 
 /// One row of the X5 table.
@@ -42,8 +42,8 @@ pub struct Row {
 ///
 /// Panics if the audit fails (it cannot, for `CheapSimultaneous`).
 #[must_use]
-pub fn run(n: usize, ls: &[u64], runner: &Runner) -> Vec<Row> {
-    runner.map(ls.to_vec(), |_, l| {
+pub fn run(n: usize, ls: &[u64], session: &Session) -> Vec<Row> {
+    session.runner.map(ls.to_vec(), |_, l| {
         let (g, ex) = ring_setup(n);
         let alg = CheapSimultaneous::new(g, ex, LabelSpace::new(l).expect("l >= 2"));
         let report = eager_chain_audit(&alg, 20 * alg.time_bound()).expect("audit must succeed");
@@ -97,10 +97,11 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendezvous_runner::Runner;
 
     #[test]
     fn x5_witness_grows_linearly_and_holds() {
-        let rows = run(12, &[4, 8, 12], &Runner::with_threads(3));
+        let rows = run(12, &[4, 8, 12], &Session::direct(Runner::with_threads(3)));
         for r in &rows {
             assert_eq!(r.phi, 0);
             assert!(r.increasing, "Fact 3.7 violated at L={}", r.l);

@@ -9,9 +9,9 @@
 //! `log L` — you cannot be fast and cheap at once.
 
 use crate::common::ring_setup;
+use crate::session::Session;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_lower_bounds::progress_audit;
-use rendezvous_runner::Runner;
 use serde::Serialize;
 
 /// One row of the X6 table.
@@ -45,9 +45,9 @@ pub struct Row {
 ///
 /// Panics if the audit fails (wrong ring size or a non-meeting execution).
 #[must_use]
-pub fn run(n: usize, ls: &[u64], runner: &Runner) -> Vec<Row> {
+pub fn run(n: usize, ls: &[u64], session: &Session) -> Vec<Row> {
     assert_eq!(n % 6, 0, "X6 needs 6 | n");
-    runner.map(ls.to_vec(), |_, l| {
+    session.runner.map(ls.to_vec(), |_, l| {
         let (g, ex) = ring_setup(n);
         let alg = Fast::new(g, ex, LabelSpace::new(l).expect("l >= 2"));
         let report = progress_audit(&alg, 4 * alg.time_bound()).expect("audit must succeed");
@@ -104,10 +104,11 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendezvous_runner::Runner;
 
     #[test]
     fn x6_witnesses_hold_and_cost_tracks_log_l() {
-        let rows = run(12, &[4, 16], &Runner::with_threads(2));
+        let rows = run(12, &[4, 16], &Session::direct(Runner::with_threads(2)));
         for r in &rows {
             assert!(r.witnesses_hold, "Fact 3.17 violated at L={}", r.l);
             assert!(r.max_nonzero >= 1);

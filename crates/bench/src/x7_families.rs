@@ -6,6 +6,7 @@
 //! bounds hold with the family-specific `E`.
 
 use crate::common::{measure_worst, standard_delays};
+use crate::session::Session;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
@@ -14,7 +15,6 @@ use rendezvous_explore::{
     TrialDfsExplorer, UxsExplorer,
 };
 use rendezvous_graph::{generators, HamiltonianCycle, PortLabeledGraph};
-use rendezvous_runner::Runner;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -111,7 +111,7 @@ fn families(seed: u64) -> Vec<(String, Arc<PortLabeledGraph>, Arc<dyn Explorer>)
 
 /// Runs `Cheap` and `Fast` with label space `L` over every family.
 #[must_use]
-pub fn run(l: u64, seed: u64, runner: &Runner) -> Vec<Row> {
+pub fn run(l: u64, seed: u64, session: &mut Session) -> Vec<Row> {
     let space = LabelSpace::new(l).expect("l >= 2");
     let pairs = crate::common::standard_label_pairs(l);
     families(seed)
@@ -120,9 +120,9 @@ pub fn run(l: u64, seed: u64, runner: &Runner) -> Vec<Row> {
             let e = explorer.bound() as u64;
             let delays = standard_delays(e);
             let cheap = Cheap::new(graph.clone(), explorer.clone(), space);
-            let mc = measure_worst(&cheap, &pairs, &delays, 4 * cheap.time_bound(), runner);
+            let mc = measure_worst(&cheap, &pairs, &delays, 4 * cheap.time_bound(), session);
             let fast = Fast::new(graph.clone(), explorer.clone(), space);
-            let mf = measure_worst(&fast, &pairs, &delays, 4 * fast.time_bound(), runner);
+            let mf = measure_worst(&fast, &pairs, &delays, 4 * fast.time_bound(), session);
             Row {
                 family,
                 explorer: explorer.name(),
@@ -180,10 +180,11 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendezvous_runner::Runner;
 
     #[test]
     fn x7_all_families_meet_within_bounds() {
-        let rows = run(6, 0xBEEF, &Runner::with_threads(4));
+        let rows = run(6, 0xBEEF, &mut Session::direct(Runner::with_threads(4)));
         assert_eq!(rows.len(), 8);
         for r in &rows {
             assert!(

@@ -7,9 +7,9 @@
 //! iterated versions pay a small constant factor, not an asymptotic one.
 
 use crate::common::{measure_worst, ring_setup, standard_delays, standard_label_pairs};
+use crate::session::Session;
 use rendezvous_core::{BaseAlgorithm, Cheap, Fast, Iterated, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{ExplorationFamily, RingDoublingFamily};
-use rendezvous_runner::Runner;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ pub struct Row {
 
 /// Runs the comparison on an `n`-ring with label space `L`.
 #[must_use]
-pub fn run(ns: &[usize], l: u64, runner: &Runner) -> Vec<Row> {
+pub fn run(ns: &[usize], l: u64, session: &mut Session) -> Vec<Row> {
     let space = LabelSpace::new(l).expect("l >= 2");
     let pairs = standard_label_pairs(l);
     let mut rows = Vec::new();
@@ -55,16 +55,16 @@ pub fn run(ns: &[usize], l: u64, runner: &Runner) -> Vec<Row> {
         ] {
             let iter =
                 Iterated::new(g.clone(), fam.clone(), space, base, 1..=top).expect("valid levels");
-            let mi = measure_worst(&iter, &pairs, &delays, 8 * iter.time_bound(), runner);
+            let mi = measure_worst(&iter, &pairs, &delays, 8 * iter.time_bound(), session);
             let (plain_time, plain_cost) = match base {
                 BaseAlgorithm::Fast => {
                     let plain = Fast::new(g.clone(), ex.clone(), space);
-                    let m = measure_worst(&plain, &pairs, &delays, 4 * plain.time_bound(), runner);
+                    let m = measure_worst(&plain, &pairs, &delays, 4 * plain.time_bound(), session);
                     (m.time, m.cost)
                 }
                 _ => {
                     let plain = Cheap::new(g.clone(), ex.clone(), space);
-                    let m = measure_worst(&plain, &pairs, &delays, 4 * plain.time_bound(), runner);
+                    let m = measure_worst(&plain, &pairs, &delays, 4 * plain.time_bound(), session);
                     (m.time, m.cost)
                 }
             };
@@ -119,10 +119,11 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendezvous_runner::Runner;
 
     #[test]
     fn x8_iterated_pays_only_a_constant_factor() {
-        let rows = run(&[6, 12], 4, &Runner::with_threads(4));
+        let rows = run(&[6, 12], 4, &mut Session::direct(Runner::with_threads(4)));
         for r in &rows {
             // Telescoping: a modest constant factor, not an n- or L-factor.
             assert!(

@@ -16,8 +16,9 @@
 //! exactly like the adversarial pair sweeps of X1–X8.
 
 use crate::common::{ring_setup, sweep_recorded};
+use crate::session::Session;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
-use rendezvous_runner::{FleetRule, GatheringExecutor, Grid, GroupStats, Runner};
+use rendezvous_runner::{FleetRule, GatheringExecutor, Grid, GroupStats};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -59,14 +60,14 @@ pub fn standard_phases() -> Vec<u64> {
 /// space `L` (labels and starts spread deterministically by the standard
 /// [`FleetRule`]; wake-ups staggered, swept over
 /// [`standard_phases`]). One grid sweep per fleet size, through the
-/// shared shard/replay path.
+/// session's recorded-sweep path.
 ///
 /// # Panics
 ///
 /// Panics if a gathering fails to complete within the analytic bound —
 /// a correctness violation of the merge-and-restart argument.
 #[must_use]
-pub fn run(n: usize, l: u64, ks: &[usize], runner: &Runner) -> Vec<Row> {
+pub fn run(n: usize, l: u64, ks: &[usize], session: &mut Session) -> Vec<Row> {
     let (g, ex) = ring_setup(n);
     let space = LabelSpace::new(l).expect("l >= 2");
     let alg: Arc<dyn RendezvousAlgorithm> = Arc::new(Fast::new(g.clone(), ex, space));
@@ -93,7 +94,7 @@ pub fn run(n: usize, l: u64, ks: &[usize], runner: &Runner) -> Vec<Row> {
                 .map(|s| executor.merge_restart_bound(s))
                 .max()
                 .expect("non-empty fleet grid");
-            let stats = sweep_recorded(&format!("x9 k={k}"), &grid, &executor, runner).solo();
+            let stats = sweep_recorded(&format!("x9 k={k}"), &grid, &executor, session).solo();
             row(n, k, loosest, &stats)
         })
         .collect()
@@ -164,10 +165,16 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendezvous_runner::Runner;
 
     #[test]
     fn x9_gathering_scales_linearly_in_k() {
-        let rows = run(12, 32, &[2, 3, 5], &Runner::with_threads(3));
+        let rows = run(
+            12,
+            32,
+            &[2, 3, 5],
+            &mut Session::direct(Runner::with_threads(3)),
+        );
         for r in &rows {
             assert!(r.rounds <= r.bound, "k={}: {} > {}", r.k, r.rounds, r.bound);
             assert_eq!(r.scenarios, standard_phases().len());
@@ -193,7 +200,7 @@ mod tests {
     /// with no cluster-count decrease at all.
     #[test]
     fn x9_merge_count_is_zero_based() {
-        let rows = run(8, 8, &[2], &Runner::sequential());
+        let rows = run(8, 8, &[2], &mut Session::direct(Runner::sequential()));
         let r = &rows[0];
         assert_eq!(
             r.merges, r.scenarios as u64,

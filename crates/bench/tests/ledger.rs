@@ -6,12 +6,12 @@
 //! single-cursor ledger has to keep grid and topo records in call order,
 //! or the x1–x11 `--shard`/`--merge-shards` pipeline would come apart.
 //!
-//! Replay diagnostics live here too: they install the process-global
-//! sharding session, so every test in this binary serializes on one
-//! lock instead of racing the session.
+//! Replay diagnostics live here too, each over its own owned
+//! [`ExecPlan::Replay`] — no session outlives its test.
 
 use rendezvous_bench::common::sweep_recorded;
-use rendezvous_bench::sharding::{self, ShardEmission};
+use rendezvous_bench::session::{ExecPlan, Session};
+use rendezvous_bench::sharding::{self, MergedLedger, ShardEmission};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, GraphSpec, RingSpec, SeededSpec};
@@ -19,12 +19,7 @@ use rendezvous_runner::{
     AlgorithmExecutor, Bounded, Bounds, FleetRule, GatheringExecutor, Grid, PieceExecutor, Runner,
     RunnerError, ScenarioOutcome, SweepReport, TopoGrid, WorkPiece, WorkloadKind,
 };
-use std::sync::{Arc, Mutex};
-
-/// All tests in this binary mutate the process-global sharding session;
-/// they serialize on this lock (a poisoned lock just means an earlier
-/// test already failed, so keep going with its guard).
-static SESSION_TESTS: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 /// Minimal topology piece executor (the x10 shape): build `Cheap` on the
 /// piece's cached graph, report its paper bounds.
@@ -58,7 +53,7 @@ impl PieceExecutor for CheapTopo {
 /// One deterministic sweep sequence through the recorded path: pair grid,
 /// fleet grid, topology grid — every workload shape the experiments run,
 /// in one emission stream.
-fn run_sequence(runner: &Runner) -> Vec<SweepReport> {
+fn run_sequence(session: &mut Session) -> Vec<SweepReport> {
     let mut reports = Vec::new();
 
     // 1. A pair sweep with sweep-level bounds (the x1–x8 shape).
@@ -78,7 +73,7 @@ fn run_sequence(runner: &Runner) -> Vec<SweepReport> {
         "ledger pair",
         &pair_grid,
         &Bounded::new(&executor, bounds),
-        runner,
+        session,
     ));
 
     // 2. A gathering fleet sweep with per-scenario bounds (the x9 shape).
@@ -97,7 +92,7 @@ fn run_sequence(runner: &Runner) -> Vec<SweepReport> {
         "ledger fleet",
         &fleet_grid,
         &GatheringExecutor::new(fast),
-        runner,
+        session,
     ));
 
     // 3. A topology sweep (the x10 shape), small but multi-family.
@@ -119,7 +114,7 @@ fn run_sequence(runner: &Runner) -> Vec<SweepReport> {
         "ledger topo",
         &topo,
         &CheapTopo { l: 3 },
-        runner,
+        session,
     ));
 
     reports
@@ -134,10 +129,8 @@ fn to_json(reports: &[SweepReport]) -> Vec<String> {
 
 #[test]
 fn mixed_ledger_shard_merge_replays_byte_identically_for_m_2_3_7() {
-    let _serial = SESSION_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let runner = Runner::sequential();
-    // Direct run — no session.
-    let direct = run_sequence(&runner);
+    let direct = run_sequence(&mut Session::direct(runner.clone()));
     let direct_json = to_json(&direct);
     assert!(direct.iter().all(SweepReport::clean));
 
@@ -146,14 +139,14 @@ fn mixed_ledger_shard_merge_replays_byte_identically_for_m_2_3_7() {
         // record stream, crossing the "process boundary" as JSON.
         let emissions: Vec<ShardEmission> = (0..m)
             .map(|i| {
-                sharding::begin_shard(i, m);
-                let partials = run_sequence(&runner);
-                let emission = sharding::finish_shard();
+                let mut session = Session::new(runner.clone(), ExecPlan::shard(i, m));
+                let partials = run_sequence(&mut session);
+                let emission = session.finish().expect("a shard plan emits its ledger");
                 assert_eq!(partials.len(), 3);
                 assert_eq!(emission.records.len(), 3, "one record per sweep");
-                assert_eq!(emission.records[0].kind(), WorkloadKind::Grid);
-                assert_eq!(emission.records[1].kind(), WorkloadKind::Grid);
-                assert_eq!(emission.records[2].kind(), WorkloadKind::Topo);
+                assert_eq!(emission.records[0].meta.kind, WorkloadKind::Grid);
+                assert_eq!(emission.records[1].meta.kind, WorkloadKind::Grid);
+                assert_eq!(emission.records[2].meta.kind, WorkloadKind::Topo);
                 let json = serde_json::to_string(&emission).expect("serializable");
                 serde_json::from_str(&json).expect("round trip")
             })
@@ -165,15 +158,15 @@ fn mixed_ledger_shard_merge_replays_byte_identically_for_m_2_3_7() {
         let merged_json: Vec<String> = merged
             .records
             .iter()
-            .map(|r| serde_json::to_string(r.report()).expect("serializable"))
+            .map(|r| serde_json::to_string(&r.report).expect("serializable"))
             .collect();
         assert_eq!(merged_json, direct_json, "merged records differ (m = {m})");
 
         // Replay pass: the sequence consumes the merged ledger instead of
         // executing, and must reproduce the direct reports byte for byte.
-        sharding::begin_replay(merged.records, merged.source);
-        let replayed = run_sequence(&runner);
-        sharding::finish_replay();
+        let mut session = Session::new(runner.clone(), ExecPlan::Replay(merged));
+        let replayed = run_sequence(&mut session);
+        assert!(session.finish().is_none(), "a replay emits no ledger");
         assert_eq!(
             to_json(&replayed),
             direct_json,
@@ -188,31 +181,37 @@ fn mixed_ledger_shard_merge_replays_byte_identically_for_m_2_3_7() {
 /// the real `sweep_recorded` path, not a fabricated plan.
 #[test]
 fn replay_diagnostics_name_position_kind_and_source() {
-    let _serial = SESSION_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let runner = Runner::sequential();
     // A genuine single-shard emission of the mixed sequence: one Grid,
     // one Grid (fleet), one Topo record, fingerprints intact.
-    sharding::begin_shard(0, 1);
-    let _ = run_sequence(&runner);
-    let records = sharding::finish_shard().records;
+    let mut session = Session::new(runner.clone(), ExecPlan::shard(0, 1));
+    let _ = run_sequence(&mut session);
+    let records = session
+        .finish()
+        .expect("a shard plan emits its ledger")
+        .records;
     assert_eq!(records.len(), 3);
 
-    fn caught(run: impl FnOnce() + std::panic::UnwindSafe) -> String {
-        let err = std::panic::catch_unwind(run).expect_err("diagnostic must panic");
-        // A caught diagnostic leaves the session installed; retire it so
-        // the next scenario starts clean.
-        sharding::reset_session();
+    // Replays `records` as a ledger read from `source`, returning the
+    // diagnostic the sequence panics with.
+    let caught = |records: Vec<sharding::LedgerRecord>, source: &str| -> String {
+        let ledger = MergedLedger {
+            records,
+            source: source.into(),
+        };
+        let mut session = Session::new(runner.clone(), ExecPlan::Replay(ledger));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = run_sequence(&mut session);
+        }))
+        .expect_err("diagnostic must panic");
         err.downcast_ref::<String>()
             .cloned()
             .expect("diagnostics panic with a formatted message")
-    }
+    };
 
     // Exhaustion: the merged ledger holds only the first record, but the
     // sequence asks for three sweeps.
-    sharding::begin_replay(vec![records[0].clone()], "a.json, b.json".into());
-    let msg = caught(std::panic::AssertUnwindSafe(|| {
-        let _ = run_sequence(&runner);
-    }));
+    let msg = caught(vec![records[0].clone()], "a.json, b.json");
     assert!(
         msg.contains("sweep #1") && msg.contains("holds only 1") && msg.contains("a.json, b.json"),
         "exhaustion must name the position, ledger length and source: {msg}"
@@ -220,15 +219,30 @@ fn replay_diagnostics_name_position_kind_and_source() {
 
     // Kind mismatch: the first sweep of the sequence is a grid sweep,
     // but the ledger leads with the topo record.
-    sharding::begin_replay(vec![records[2].clone()], "c.json".into());
-    let msg = caught(std::panic::AssertUnwindSafe(|| {
-        let _ = run_sequence(&runner);
-    }));
+    let msg = caught(vec![records[2].clone()], "c.json");
     assert!(
         msg.contains("sweep #0")
             && msg.contains("expected a grid sweep")
             && msg.contains("recorded a topo sweep")
             && msg.contains("c.json"),
         "mismatch must name position, both kinds and the source: {msg}"
+    );
+
+    // Leftovers: a ledger longer than the sequence is refused when the
+    // replay ends.
+    let mut longer = records.clone();
+    longer.push(records[0].clone());
+    let ledger = MergedLedger {
+        records: longer,
+        source: "d.json".into(),
+    };
+    let mut session = Session::new(runner, ExecPlan::Replay(ledger));
+    let _ = run_sequence(&mut session);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.finish()))
+        .expect_err("unconsumed records must panic");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("replay consumed 3 of 4") && msg.contains("d.json"),
+        "leftovers must name the counts and the source: {msg}"
     );
 }

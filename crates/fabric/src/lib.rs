@@ -55,4 +55,4 @@ pub use coordinator::{Coordinator, CoordinatorConfig, FabricStats, LeaseReply, W
 pub use error::{FabricError, WireError};
 pub use protocol::{Message, PROTOCOL_VERSION};
 pub use server::{FabricOutcome, FabricServer, ServerConfig};
-pub use worker::WorkerClient;
+pub use worker::{WorkerClient, HEARTBEAT_EVERY};

@@ -15,14 +15,14 @@ use crate::wire::{read_frame, write_frame};
 use rendezvous_runner::{SweepReport, WorkloadMeta};
 use rendezvous_telemetry::TelemetrySnapshot;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Heartbeat cadence — an order of magnitude inside the coordinator's
 /// default 5 s lease timeout, so only a truly wedged or dead worker
 /// expires.
-const HEARTBEAT_EVERY: Duration = Duration::from_millis(500);
+pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(500);
 
 /// How long to sleep after a `Wait` reply before polling again.
 const WAIT_POLL: Duration = Duration::from_millis(25);
@@ -36,10 +36,14 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 /// The heartbeat thread starts at [`connect`](Self::connect) and runs
 /// until [`finish`](Self::finish) (or drop); it shares the write half
 /// of the socket behind a mutex with the request/result traffic.
+/// Stopping it wakes it at once rather than after its current
+/// [`HEARTBEAT_EVERY`] wait, so ending a worker costs no heartbeat
+/// period.
 pub struct WorkerClient {
     writer: Arc<Mutex<TcpStream>>,
     reader: TcpStream,
-    stop: Arc<AtomicBool>,
+    /// Dropping the sender wakes and stops the heartbeat thread.
+    stop: Option<mpsc::Sender<()>>,
     heartbeat: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -63,16 +67,11 @@ impl WorkerClient {
                 worker,
             },
         )?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel::<()>();
         let beat_writer = Arc::clone(&writer);
-        let beat_stop = Arc::clone(&stop);
         // analyze: allow(d5) — liveness side channel; carries no sweep data
         let heartbeat = std::thread::spawn(move || {
-            while !beat_stop.load(Ordering::SeqCst) {
-                std::thread::sleep(HEARTBEAT_EVERY);
-                if beat_stop.load(Ordering::SeqCst) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(HEARTBEAT_EVERY) {
                 let mut w = beat_writer.lock().expect("fabric writer lock");
                 if write_frame(&mut *w, &Message::Heartbeat).is_err() {
                     // Coordinator gone: the main thread will hit the
@@ -84,7 +83,7 @@ impl WorkerClient {
         Ok(WorkerClient {
             writer,
             reader,
-            stop,
+            stop: Some(stop),
             heartbeat: Some(heartbeat),
         })
     }
@@ -178,7 +177,7 @@ impl WorkerClient {
     }
 
     fn stop_heartbeat(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        drop(self.stop.take());
         if let Some(h) = self.heartbeat.take() {
             let _ = h.join();
         }
@@ -187,9 +186,6 @@ impl WorkerClient {
 
 impl Drop for WorkerClient {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.heartbeat.take() {
-            let _ = h.join();
-        }
+        self.stop_heartbeat();
     }
 }

@@ -1,19 +1,18 @@
-//! Live progress: shared counters, the stderr reporter, and the
-//! spawn-driver child protocol.
+//! Live progress: shared counters, the stderr reporter, and the child
+//! progress protocol.
 //!
 //! Everything here is display-only — progress never feeds a fold, a
 //! report, or a ledger, which is why the sampler thread and the child
 //! pipe drains below are sanctioned (and annotated) departures from
 //! the Runner's order-deterministic parallelism.
 //!
-//! The child protocol is line-oriented over stderr: a spawned shard
-//! periodically emits `@progress {json}` and finally `@telemetry
-//! {json}`; every other stderr line is buffered verbatim as
-//! diagnostics. stdout stays untouched — the shard-ledger channel the
-//! byte-identity discipline covers.
+//! The child protocol is line-oriented over stderr: a child process
+//! (a fabric worker) periodically emits `@progress {json}`; every other
+//! stderr line is buffered verbatim as diagnostics. A child's final
+//! telemetry snapshot travels elsewhere (the fabric's `Finished`
+//! frame), and stdout stays untouched.
 
 use crate::metrics::{Metrics, Stopwatch};
-use crate::snapshot::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Read};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -93,8 +92,6 @@ impl ProgressCounts {
 
 /// Prefix of a child's periodic progress line.
 pub const PROGRESS_PREFIX: &str = "@progress ";
-/// Prefix of a child's final telemetry line.
-pub const TELEMETRY_PREFIX: &str = "@telemetry ";
 
 /// Renders a `@progress` protocol line (no trailing newline).
 #[must_use]
@@ -103,40 +100,15 @@ pub fn progress_line(counts: &ProgressCounts) -> String {
     format!("{PROGRESS_PREFIX}{payload}")
 }
 
-/// Renders a `@telemetry` protocol line (no trailing newline).
+/// Parses one stderr line as a `@progress` reading; `None` means "not
+/// protocol" (including a malformed payload) — the caller keeps such
+/// lines as diagnostics.
 #[must_use]
-pub fn telemetry_line(snapshot: &TelemetrySnapshot) -> String {
-    let payload = serde_json::to_string(snapshot).expect("snapshot serializes");
-    format!("{TELEMETRY_PREFIX}{payload}")
+pub fn parse_progress_line(line: &str) -> Option<ProgressCounts> {
+    serde_json::from_str(line.strip_prefix(PROGRESS_PREFIX)?).ok()
 }
 
-/// A recognized child-protocol stderr line.
-#[derive(Debug)]
-pub enum ProtocolLine {
-    /// A periodic `@progress` reading.
-    Progress(ProgressCounts),
-    /// The final `@telemetry` snapshot.
-    Telemetry(TelemetrySnapshot),
-}
-
-/// Parses one stderr line; `None` means "not protocol" (including a
-/// malformed payload) — the caller keeps such lines as diagnostics.
-#[must_use]
-pub fn parse_protocol_line(line: &str) -> Option<ProtocolLine> {
-    if let Some(payload) = line.strip_prefix(PROGRESS_PREFIX) {
-        return serde_json::from_str(payload)
-            .ok()
-            .map(ProtocolLine::Progress);
-    }
-    if let Some(payload) = line.strip_prefix(TELEMETRY_PREFIX) {
-        return TelemetrySnapshot::parse(payload)
-            .ok()
-            .map(ProtocolLine::Telemetry);
-    }
-    None
-}
-
-/// Aggregates per-child progress for the spawn driver: each child's
+/// Aggregates per-child progress for a driver process: each child's
 /// pump stores its latest reading in its slot; the parent reporter
 /// samples the sum.
 #[derive(Debug)]
@@ -145,7 +117,7 @@ pub struct ProgressHub {
 }
 
 impl ProgressHub {
-    /// A hub with one slot per spawned child.
+    /// A hub with one slot per child.
     #[must_use]
     pub fn new(children: usize) -> Arc<ProgressHub> {
         Arc::new(ProgressHub {
@@ -207,15 +179,15 @@ impl ProgressReporter {
     }
 
     /// Protocol-line reporter sampling a [`Metrics`] sink — what a
-    /// spawned shard runs so its parent can aggregate.
+    /// child runs so its parent can aggregate.
     #[must_use]
     pub fn stream(metrics: &Arc<Metrics>) -> ProgressReporter {
         let m = Arc::clone(metrics);
         ProgressReporter::spawn(Mode::Stream, move || m.progress().counts())
     }
 
-    /// Human-readable reporter sampling a [`ProgressHub`] — what the
-    /// spawn driver runs over its children's aggregated slots.
+    /// Human-readable reporter sampling a [`ProgressHub`] — what a
+    /// driver runs over its children's aggregated slots.
     #[must_use]
     pub fn aggregate(hub: &Arc<ProgressHub>) -> ProgressReporter {
         let h = Arc::clone(hub);
@@ -292,11 +264,11 @@ fn emit(mode: Mode, watch: &Stopwatch, counts: &ProgressCounts, finished: bool) 
     }
 }
 
-/// Drains one spawned child's stderr on a reader thread: protocol
-/// lines update the hub / capture the snapshot, everything else is
-/// buffered as diagnostics and returned at [`StderrPump::finish`].
+/// Drains one child's stderr on a reader thread: progress lines update
+/// the hub, everything else is buffered as diagnostics and returned at
+/// [`StderrPump::finish`].
 pub struct StderrPump {
-    thread: JoinHandle<(String, Option<TelemetrySnapshot>)>,
+    thread: JoinHandle<String>,
 }
 
 impl StderrPump {
@@ -313,27 +285,24 @@ impl StderrPump {
         // diagnostics are joined back in child-index order by the caller
         let thread = std::thread::spawn(move || {
             let mut diagnostics = String::new();
-            let mut snapshot = None;
             for line in BufReader::new(reader).lines() {
                 let Ok(line) = line else { break };
-                match parse_protocol_line(&line) {
-                    Some(ProtocolLine::Progress(counts)) => hub.update(child, &counts),
-                    Some(ProtocolLine::Telemetry(snap)) => snapshot = Some(snap),
+                match parse_progress_line(&line) {
+                    Some(counts) => hub.update(child, &counts),
                     None => {
                         diagnostics.push_str(&line);
                         diagnostics.push('\n');
                     }
                 }
             }
-            (diagnostics, snapshot)
+            diagnostics
         });
         StderrPump { thread }
     }
 
-    /// Joins the drain: the child's non-protocol stderr and its final
-    /// snapshot, if it sent one.
+    /// Joins the drain: the child's non-protocol stderr.
     #[must_use]
-    pub fn finish(self) -> (String, Option<TelemetrySnapshot>) {
+    pub fn finish(self) -> String {
         self.thread.join().unwrap_or_default()
     }
 }
@@ -341,7 +310,6 @@ impl StderrPump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SCHEMA;
 
     #[test]
     fn progress_accumulates_and_reads_back() {
@@ -365,17 +333,11 @@ mod tests {
             pieces_done: 1,
             pieces_total: 2,
         };
-        match parse_protocol_line(&progress_line(&counts)) {
-            Some(ProtocolLine::Progress(back)) => assert_eq!(back, counts),
-            other => panic!("expected progress line, got {other:?}"),
-        }
-        let snap = TelemetrySnapshot::empty();
-        match parse_protocol_line(&telemetry_line(&snap)) {
-            Some(ProtocolLine::Telemetry(back)) => assert_eq!(back.schema, SCHEMA),
-            other => panic!("expected telemetry line, got {other:?}"),
-        }
-        assert!(parse_protocol_line("plain diagnostic output").is_none());
-        assert!(parse_protocol_line("@progress not-json").is_none());
+        assert_eq!(parse_progress_line(&progress_line(&counts)), Some(counts));
+        assert!(parse_progress_line("plain diagnostic output").is_none());
+        assert!(parse_progress_line("@progress not-json").is_none());
+        // The retired final-snapshot line is plain diagnostics now.
+        assert!(parse_progress_line("@telemetry {}").is_none());
     }
 
     #[test]
@@ -430,13 +392,9 @@ mod tests {
         child_stderr.push_str("warming up\n");
         child_stderr.push_str(&progress_line(&counts));
         child_stderr.push('\n');
-        child_stderr.push_str(&telemetry_line(&TelemetrySnapshot::empty()));
-        child_stderr.push('\n');
         child_stderr.push_str("done\n");
         let pump = StderrPump::pump(std::io::Cursor::new(child_stderr.into_bytes()), &hub, 0);
-        let (diagnostics, snapshot) = pump.finish();
-        assert_eq!(diagnostics, "warming up\ndone\n");
-        assert_eq!(snapshot, Some(TelemetrySnapshot::empty()));
+        assert_eq!(pump.finish(), "warming up\ndone\n");
         assert_eq!(hub.total().scenarios_done, 4);
     }
 

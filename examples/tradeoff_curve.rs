@@ -6,13 +6,19 @@
 //! cargo run --release --example tradeoff_curve
 //! ```
 
+use rendezvous_bench::session::Session;
 use rendezvous_bench::x4_tradeoff;
 use rendezvous_runner::Runner;
 
 fn main() {
     let (n, l) = (12, 64);
     println!("time/cost tradeoff on the oriented {n}-ring, label space L = {l}\n");
-    let points = x4_tradeoff::run(n, l, &[1, 2, 3, 4, 5], &Runner::parallel());
+    let points = x4_tradeoff::run(
+        n,
+        l,
+        &[1, 2, 3, 4, 5],
+        &mut Session::direct(Runner::parallel()),
+    );
     print!("{}", x4_tradeoff::render(&points));
 
     // ASCII scatter: x = time bound, y = cost bound (log-ish bucketing).

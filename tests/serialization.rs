@@ -50,9 +50,9 @@ fn experiment_rows_serialize_for_csv_and_json_export() {
     assert_eq!(serde_json::to_string(&m).unwrap(), r#"{"time":3,"cost":4}"#);
 }
 
-/// A shard ledger — a stream of tagged [`LedgerRecord`] enum values
-/// (struct variants, the derive support added for the unified ledger) —
-/// must round-trip **byte-identically** through the vendored serde,
+/// A shard ledger — a stream of `{meta, report}` [`LedgerRecord`]s
+/// whose workload kind is a tagged enum value — must round-trip
+/// **byte-identically** through the vendored serde,
 /// k-agent fleet witnesses, per-family topology groups and per-scenario
 /// ratio bounds included: the property every multi-process sweep of
 /// x1–x11 stands on.
@@ -60,7 +60,9 @@ fn experiment_rows_serialize_for_csv_and_json_export() {
 fn shard_ledgers_round_trip_tagged_records_byte_identically() {
     use rendezvous_bench::sharding::{LedgerRecord, ShardEmission};
     use rendezvous_graph::{GraphSpec, NodeId, RingSpec};
-    use rendezvous_runner::{Bounds, Placement, Scenario, ScenarioOutcome, SweepReport};
+    use rendezvous_runner::{
+        Bounds, Placement, Scenario, ScenarioOutcome, SweepReport, WorkloadKind, WorkloadMeta,
+    };
 
     let fleet = Scenario::fleet(
         (0..4)
@@ -104,16 +106,22 @@ fn shard_ledgers_round_trip_tagged_records_byte_identically() {
         shard: 1,
         of: 3,
         records: vec![
-            LedgerRecord::Grid {
-                digest: 0xabad_cafe,
-                full_size: 40,
-                size: 12,
+            LedgerRecord {
+                meta: WorkloadMeta {
+                    kind: WorkloadKind::Grid,
+                    digest: 0xabad_cafe,
+                    full_size: 40,
+                    size: 12,
+                },
                 report: fleet_report,
             },
-            LedgerRecord::Topo {
-                digest: 0x0def_aced,
-                full_size: 96,
-                size: 48,
+            LedgerRecord {
+                meta: WorkloadMeta {
+                    kind: WorkloadKind::Topo,
+                    digest: 0x0def_aced,
+                    full_size: 96,
+                    size: 48,
+                },
                 report: topo_report,
             },
         ],
@@ -121,15 +129,15 @@ fn shard_ledgers_round_trip_tagged_records_byte_identically() {
     let json = serde_json::to_string_pretty(&emission).unwrap();
     let back: ShardEmission = serde_json::from_str(&json).unwrap();
     assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
-    // The externally tagged encoding is visible in the text…
+    // The workload kind's tag is visible in the text…
     assert!(json.contains("\"Grid\"") && json.contains("\"Topo\""));
     // …and the payloads come back intact.
-    let stats = back.records[0].report().solo();
+    let stats = back.records[0].report.solo();
     let witness = stats.worst_ratio.as_ref().unwrap();
     assert_eq!(witness.scenario.k(), 4);
     assert_eq!(witness.time_bound, Some(900));
     assert_eq!(stats.merges, 3);
-    let ring = back.records[1].report().group("ring").unwrap().clone();
+    let ring = back.records[1].report.group("ring").unwrap().clone();
     let witness = ring.worst_time.as_ref().unwrap();
     assert_eq!(
         witness.spec.as_ref().unwrap().build().unwrap().node_count(),
