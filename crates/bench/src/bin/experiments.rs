@@ -6,7 +6,7 @@
 //! experiments [all|x1|x2|...|x11]... [--topo] [--quick] [--json]
 //!             [--sequential|--parallel] [--engine stepped|batched]
 //!             [--progress] [--telemetry FILE] [--store DIR]
-//!             [--plan | --shard i/m [--emit-shard] | --merge-shards FILE...
+//!             [--plan | --shard i/m | --merge-shards FILE...
 //!              | --fabric workers=N [--fabric-checkpoint FILE] [--fabric-kill-one]]
 //! experiments serve --store DIR [--addr-file FILE]
 //!             [--engine stepped|batched] [--sequential]
@@ -45,20 +45,24 @@
 //!
 //! # Sharded sweeps (multi-process, multi-host)
 //!
-//! `--shard i/m --emit-shard` executes only shard `i` of every
-//! adversarial grid and prints a JSON ledger of per-sweep partial stats
-//! instead of tables; `--merge-shards` merges the `m` ledgers and renders
+//! `--shard i/m` executes only shard `i` of every sweep and prints,
+//! instead of tables, one fabric checkpoint line per sweep whose shard
+//! range is non-empty — the `--fabric-checkpoint` format below.
+//! `--merge-shards` folds the `m` files through the fabric's resume
+//! checks (matching fingerprints, no overlap, full coverage) and renders
 //! the ordinary output from the merged stats — byte-identical to a
 //! single-process run with the same selection and flags:
 //!
 //! ```text
-//! for i in 0 1 2; do experiments x1 --json --shard $i/3 --emit-shard > s$i.json; done
-//! experiments x1 --json --merge-shards s0.json s1.json s2.json   # == experiments x1 --json
+//! for i in 0 1 2; do experiments x1 --json --shard $i/3 > s$i.jsonl; done
+//! experiments x1 --json --merge-shards s0.jsonl s1.jsonl s2.jsonl   # == experiments x1 --json
 //! ```
 //!
 //! The shard runs may execute on different hosts; for several processes
 //! on one host, `--fabric workers=N` below does the whole loop in one
-//! invocation.
+//! invocation. Because the formats are one, shard files concatenated
+//! into a `--fabric-checkpoint` file seed a fabric run that executes
+//! only the ranges they miss.
 //!
 //! # Observability
 //!
@@ -107,7 +111,7 @@
 //! A warm rerun is byte-identical to the cold one, CI-checked. With
 //! `--plan` each line gains a `store=cached|miss` column. Shard/merge
 //! runs must all use the same `--store` setting (and store state): the
-//! cache changes *which* sweeps produce ledger records, so mixing
+//! cache changes *which* sweeps produce shard records, so mixing
 //! cached and uncached artifacts in one merge is a diagnosed error.
 //!
 //! `experiments serve --store DIR` turns the store into a query
@@ -127,7 +131,7 @@
 //! `all` deliberately excludes both (they are the heaviest tables);
 //! select them explicitly. Sharding works for them exactly as above —
 //! a `TopoGrid` is just another `Workload`, so its per-family reports
-//! ride the same unified ledger as every grid sweep.
+//! ride the same checkpoint records as every grid sweep.
 //!
 //! [`ExecPlan`]: rendezvous_bench::session::ExecPlan
 //! [`Session`]: rendezvous_bench::session::Session
@@ -135,8 +139,7 @@
 
 use rendezvous_bench::engine::Engine;
 use rendezvous_bench::fabric::WorkerSession;
-use rendezvous_bench::session::{ExecPlan, Session};
-use rendezvous_bench::sharding::{self, MergedLedger};
+use rendezvous_bench::session::{ExecPlan, MergedLedger, Session};
 use rendezvous_bench::*;
 use rendezvous_runner::Runner;
 use rendezvous_store::Store;
@@ -169,7 +172,7 @@ fn emit<R: serde::Serialize>(cfg: &Config, id: &str, rows: &[R], rendered: Strin
 
 /// Prints a section heading: to stdout for markdown output, to stderr
 /// in `--json` mode and whenever rows are not emitted, so stdout stays a
-/// clean JSON (or ledger, or plan) stream.
+/// clean JSON (or shard record, or plan) stream.
 fn section(cfg: &Config, heading: &str) {
     if cfg.json || !cfg.session.emits_rows() {
         eprintln!("{heading}");
@@ -275,7 +278,6 @@ struct Cli {
     progress_stream: bool,
     telemetry: Option<String>,
     mode: Mode,
-    emit_shard: bool,
     checkpoint: Option<String>,
     kill_one: bool,
     /// Internal chaos hook, set by the driver on worker 0 under
@@ -299,7 +301,6 @@ impl Cli {
             progress_stream: false,
             telemetry: None,
             mode: Mode::Direct,
-            emit_shard: false,
             checkpoint: None,
             kill_one: false,
             self_kill: false,
@@ -316,7 +317,6 @@ impl Cli {
                 "--topo" => topo = true,
                 "--progress" => cli.progress = true,
                 "--progress-stream" => cli.progress_stream = true,
-                "--emit-shard" => cli.emit_shard = true,
                 "--fabric-kill-one" => cli.kill_one = true,
                 "--fabric-self-kill" => cli.self_kill = true,
                 "--telemetry" => cli.telemetry = Some(value("a file path")),
@@ -328,8 +328,8 @@ impl Cli {
                     let (shard, of) = parse_shard_spec(&value("an i/m argument"));
                     cli.set_mode(Mode::Shard { shard, of });
                 }
-                // Everything after --merge-shards is a shard ledger
-                // file; experiment ids go before the flag.
+                // Everything after --merge-shards is a shard file;
+                // experiment ids go before the flag.
                 "--merge-shards" => cli.set_mode(Mode::Merge(iter.by_ref().collect())),
                 "--fabric" => {
                     let spec = value("workers=N");
@@ -355,9 +355,6 @@ impl Cli {
             _ if cli.sequential && cli.parallel => {
                 Some("--sequential and --parallel are mutually exclusive")
             }
-            mode if cli.emit_shard && !matches!(mode, Mode::Shard { .. }) => {
-                Some("--emit-shard requires --shard i/m")
-            }
             mode if (cli.checkpoint.is_some() || cli.kill_one)
                 && !matches!(mode, Mode::Fabric { .. }) =>
             {
@@ -369,6 +366,7 @@ impl Cli {
             mode if cli.self_kill && !matches!(mode, Mode::FabricWorker { .. }) => {
                 Some("--fabric-self-kill is internal to fabric workers")
             }
+            Mode::Merge(files) if files.is_empty() => Some("--merge-shards requires shard files"),
             Mode::Merge(_) if cli.telemetry.is_some() => Some(
                 "--telemetry cannot be combined with --merge-shards: a merge replays recorded \
                  sweeps and executes nothing, so the sidecar would be vacuously empty",
@@ -446,19 +444,27 @@ fn expand_selection(mut wanted: Vec<String>, topo: bool) -> Vec<String> {
     wanted
 }
 
-/// Reads and merges the `--merge-shards` ledgers.
+/// Loads the `--merge-shards` files (checkpoint lines) and folds them
+/// through the fabric's resume checks.
 fn merge_files(files: &[String]) -> MergedLedger {
-    let emissions: Vec<sharding::ShardEmission> = files
-        .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| usage_error(&format!("cannot read {path}: {e}")));
-            serde_json::from_str(&text)
-                .unwrap_or_else(|e| usage_error(&format!("{path} is not a shard ledger: {e}")))
-        })
-        .collect();
-    sharding::merge_emissions(emissions, files)
-        .unwrap_or_else(|e| usage_error(&format!("cannot merge shards: {e}")))
+    let mut records = Vec::new();
+    for path in files.iter().map(std::path::Path::new) {
+        // `load` reads a missing file as an empty checkpoint; a shard
+        // file named on the command line must exist.
+        if !path.is_file() {
+            usage_error(&format!("cannot read shard file {}", path.display()));
+        }
+        records.extend(
+            rendezvous_fabric::checkpoint::load(path)
+                .unwrap_or_else(|e| usage_error(&format!("{}: {e}", path.display()))),
+        );
+    }
+    let records = rendezvous_fabric::merge_records(records)
+        .unwrap_or_else(|e| usage_error(&format!("cannot merge shards: {e}")));
+    MergedLedger {
+        records,
+        source: files.join(", "),
+    }
 }
 
 /// Runs the selection on the distributed fabric: starts the loopback
@@ -548,11 +554,7 @@ fn run_fabric(cli: &Cli, workers: usize) -> (MergedLedger, TelemetrySnapshot) {
         );
     }
     let ledger = MergedLedger {
-        records: outcome
-            .sweeps
-            .into_iter()
-            .map(|(meta, report)| sharding::LedgerRecord { meta, report })
-            .collect(),
+        records: outcome.sweeps,
         source: format!("fabric coordinator ({workers} workers)"),
     };
     (ledger, outcome.telemetry)
@@ -844,11 +846,8 @@ fn main() {
         reporter.finish();
     }
     let metrics = cfg.session.metrics().cloned();
-    if let Some(emission) = cfg.session.finish() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&emission).expect("serializable ledger")
-        );
+    for record in cfg.session.finish().unwrap_or_default() {
+        print!("{}", record.to_line());
     }
     // The sidecar, after every exact byte of output is out.
     if let Some(path) = &cli.telemetry {

@@ -52,8 +52,8 @@ pub fn adversarial_grid(
 
 /// Sweeps any [`Workload`] through a [`PieceExecutor`] under the
 /// session's [`ExecPlan`](crate::session::ExecPlan) (see
-/// [`Session::sweep`]): in full, as a dry-run line, as one shard
-/// recorded to the ledger, as a replayed merged record, or as fabric
+/// [`Session::sweep`]): in full, as a dry-run line, as one shard's
+/// checkpoint record, as a replayed merged record, or as fabric
 /// leases — transparently to callers, with the session's store in front.
 /// This is the **single** workload→report path of the experiments
 /// binary: the pair grids of X1–X8 ([`sweep_worst`]), the gathering
@@ -64,8 +64,7 @@ pub fn adversarial_grid(
 ///
 /// Panics on any execution error, on an empty workload (`context` names
 /// the sweep in the message) and — in replay mode — when the merged
-/// ledger's next record disagrees with this run's workload (kind or size
-/// fingerprint).
+/// ledger's next record disagrees with this run's workload fingerprint.
 pub fn sweep_recorded<W, E>(
     context: &str,
     workload: &W,

@@ -31,7 +31,6 @@ pub mod engine;
 pub mod fabric;
 pub mod serve;
 pub mod session;
-pub mod sharding;
 pub mod x10_topologies;
 pub mod x11_gathering_topo;
 pub mod x1_cheap;

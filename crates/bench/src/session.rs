@@ -23,7 +23,7 @@
 
 use crate::engine::Engine;
 use crate::fabric::WorkerSession;
-use crate::sharding::{LedgerRecord, MergedLedger, ShardEmission};
+use rendezvous_fabric::CheckpointRecord;
 use rendezvous_runner::{PieceExecutor, Runner, SweepReport, Workload, WorkloadMeta};
 use rendezvous_store::{Miss, Store, StoreKey};
 use rendezvous_telemetry::{Metrics, Scope};
@@ -40,14 +40,16 @@ pub enum ExecPlan {
     /// and execute nothing.
     DryRun,
     /// `--shard i/m`: execute only shard `shard` of `of` of every sweep
-    /// and record each partial fold in `ledger`, in call order.
+    /// and record each partial fold in `ledger` as a fabric
+    /// [`CheckpointRecord`] of the shard's range — one per sweep whose
+    /// range is non-empty, in call order.
     Shard {
         /// Shard index.
         shard: usize,
         /// Shard count.
         of: usize,
-        /// One record per sweep executed so far.
-        ledger: Vec<LedgerRecord>,
+        /// The records of the sweeps executed so far.
+        ledger: Vec<CheckpointRecord>,
     },
     /// `--merge-shards` and the `--fabric` driver: every sweep consumes
     /// the merged ledger's next record instead of executing.
@@ -70,6 +72,51 @@ impl ExecPlan {
             shard,
             of,
             ledger: Vec::new(),
+        }
+    }
+}
+
+/// The merged ledger of a run — from `--merge-shards` or the fabric
+/// coordinator: one full `(meta, report)` pair per sweep, in sweep
+/// order, plus the provenance string replay diagnostics name.
+#[derive(Debug, Clone, Default)]
+pub struct MergedLedger {
+    /// One `(fingerprint, full fold)` pair per recorded sweep.
+    pub records: Vec<(WorkloadMeta, SweepReport)>,
+    /// Where the records came from (shard file names or the fabric
+    /// coordinator).
+    pub source: String,
+}
+
+impl MergedLedger {
+    /// The report replaying sweep `sweep` of the run, which must have
+    /// fingerprint `meta`.
+    ///
+    /// # Errors
+    ///
+    /// When the ledger is exhausted or its record has another
+    /// fingerprint: the message names the sweep's position in the
+    /// sequence, both fingerprints (or the ledger's length), and the
+    /// ledger's source.
+    pub fn record(&self, sweep: usize, meta: &WorkloadMeta) -> Result<&SweepReport, String> {
+        match self.records.get(sweep) {
+            None => Err(format!(
+                "sweep #{sweep} ({}) requested but the merged ledger from {} \
+                 holds only {} records — the shard runs covered a different \
+                 experiment selection",
+                meta.fingerprint(),
+                self.source,
+                self.records.len()
+            )),
+            Some((found, _)) if found != meta => Err(format!(
+                "sweep #{sweep} expected {} but the merged ledger from {} \
+                 recorded {} — shard and merge runs must use identical \
+                 experiment selections and flags",
+                meta.fingerprint(),
+                self.source,
+                found.fingerprint()
+            )),
+            Some((_, report)) => Ok(report),
         }
     }
 }
@@ -199,16 +246,22 @@ impl Session {
             // legitimately be empty, and none of them reaches the store.
             ExecPlan::Shard { shard, of, ledger } => {
                 assert!(workload.size() > 0, "empty adversarial sweep for {context}");
+                let (lo, hi) = workload.shard(*shard, *of);
                 let report = self
                     .runner
-                    .sweep_shard(workload, *shard, *of, executor)
+                    .sweep_range(workload, lo, hi, executor)
                     .unwrap_or_else(|e| {
                         panic!("adversarial shard sweep failed for {context}: {e}")
                     });
-                ledger.push(LedgerRecord {
-                    meta,
-                    report: report.clone(),
-                });
+                if lo < hi {
+                    ledger.push(CheckpointRecord {
+                        sweep,
+                        lo,
+                        hi,
+                        meta,
+                        report: report.clone(),
+                    });
+                }
                 return (report, false);
             }
             ExecPlan::FabricWorker(worker) => {
@@ -218,7 +271,6 @@ impl Session {
             ExecPlan::Replay(ledger) => ledger
                 .record(sweep, &meta)
                 .unwrap_or_else(|msg| panic!("{msg}"))
-                .report
                 .clone(),
         };
         assert!(
@@ -230,7 +282,7 @@ impl Session {
         (report, false)
     }
 
-    /// Ends the run: a shard plan returns its ledger for emission, a
+    /// Ends the run: a shard plan returns its records for emission, a
     /// replay checks every merged record was consumed, and a fabric
     /// worker hands the coordinator its telemetry snapshot.
     ///
@@ -239,13 +291,9 @@ impl Session {
     /// Panics if merged records remain unconsumed (the merge inputs came
     /// from a different experiment selection than the replay run) or a
     /// fabric worker cannot deliver its snapshot.
-    pub fn finish(self) -> Option<ShardEmission> {
+    pub fn finish(self) -> Option<Vec<CheckpointRecord>> {
         match self.plan {
-            ExecPlan::Shard { shard, of, ledger } => Some(ShardEmission {
-                shard,
-                of,
-                records: ledger,
-            }),
+            ExecPlan::Shard { ledger, .. } => Some(ledger),
             ExecPlan::Replay(ledger) => {
                 assert_eq!(
                     self.cursor,

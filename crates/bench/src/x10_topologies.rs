@@ -13,9 +13,9 @@
 //!
 //! The sweep shards across processes exactly like the scenario sweeps —
 //! a [`TopoGrid`] is just another [`Workload`]:
-//! `experiments x10 --shard i/m --emit-shard` / `--merge-shards` carry
-//! per-shard [`SweepReport`]s through the unified shard ledger, and the
-//! merged run is byte-identical to a direct one (CI-checked).
+//! `experiments x10 --shard i/m` prints per-shard [`SweepReport`]s as
+//! fabric checkpoint lines, `--merge-shards` folds them, and the merged
+//! run is byte-identical to a direct one (CI-checked).
 
 use crate::common::{markdown_table, standard_delays, standard_label_pairs};
 use crate::engine::Engine;

@@ -15,9 +15,9 @@
 //! cross-multiplication) and total merge events.
 //!
 //! The sweep shards across processes exactly like X10:
-//! `experiments x11 --shard i/m --emit-shard` / `--merge-shards` carry
-//! the per-shard [`SweepReport`]s through the unified shard ledger, and
-//! the merged run is byte-identical to a direct one (CI-checked).
+//! `experiments x11 --shard i/m` prints the per-shard [`SweepReport`]s
+//! as fabric checkpoint lines, `--merge-shards` folds them, and the
+//! merged run is byte-identical to a direct one (CI-checked).
 
 use crate::common::{markdown_table, sweep_recorded};
 use crate::session::Session;

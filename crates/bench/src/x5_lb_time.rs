@@ -36,13 +36,18 @@ pub struct Row {
     pub upper_bound: u64,
 }
 
-/// Runs the audit for each `L` on an `n`-ring.
+/// Runs the audit for each `L` on an `n`-ring. A session that prints no
+/// rows (a dry run, a shard, a fabric worker) skips the audits: they
+/// record no sweeps, so sweep positions are unaffected.
 ///
 /// # Panics
 ///
 /// Panics if the audit fails (it cannot, for `CheapSimultaneous`).
 #[must_use]
 pub fn run(n: usize, ls: &[u64], session: &Session) -> Vec<Row> {
+    if !session.emits_rows() {
+        return Vec::new();
+    }
     session.runner.map(ls.to_vec(), |_, l| {
         let (g, ex) = ring_setup(n);
         let alg = CheapSimultaneous::new(g, ex, LabelSpace::new(l).expect("l >= 2"));
@@ -97,7 +102,20 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ExecPlan;
     use rendezvous_runner::Runner;
+
+    /// `--plan`, `--shard` and fabric workers print no rows, so neither
+    /// lower-bound audit may run in them.
+    #[test]
+    fn audits_are_skipped_in_sessions_that_print_no_rows() {
+        for plan in [ExecPlan::DryRun, ExecPlan::shard(0, 2)] {
+            let session = Session::new(Runner::sequential(), plan);
+            assert!(!session.emits_rows());
+            assert!(run(12, &[4], &session).is_empty());
+            assert!(crate::x6_lb_cost::run(12, &[4], &session).is_empty());
+        }
+    }
 
     #[test]
     fn x5_witness_grows_linearly_and_holds() {

@@ -39,7 +39,10 @@ pub struct Row {
     pub measured_cost: u64,
 }
 
-/// Runs the audit for each `L` on an `n`-ring (`6 | n`).
+/// Runs the audit for each `L` on an `n`-ring (`6 | n`). A session that
+/// prints no rows skips the audits, as in [`x5_lb_time::run`].
+///
+/// [`x5_lb_time::run`]: crate::x5_lb_time::run
 ///
 /// # Panics
 ///
@@ -47,6 +50,9 @@ pub struct Row {
 #[must_use]
 pub fn run(n: usize, ls: &[u64], session: &Session) -> Vec<Row> {
     assert_eq!(n % 6, 0, "X6 needs 6 | n");
+    if !session.emits_rows() {
+        return Vec::new();
+    }
     session.runner.map(ls.to_vec(), |_, l| {
         let (g, ex) = ring_setup(n);
         let alg = Fast::new(g, ex, LabelSpace::new(l).expect("l >= 2"));

@@ -9,21 +9,23 @@ use std::process::Command;
 fn refused_flag_combinations_exit_with_usage_code_2() {
     let refused: &[&[&str]] = &[
         &["--sequential", "--parallel"],
+        // Retired: a `--shard` run always prints its checkpoint lines.
         &["--emit-shard"],
-        &["--emit-shard", "--merge-shards", "s0.json"],
-        &["--shard", "0/2", "--merge-shards", "s0.json"],
+        &["--emit-shard", "--merge-shards", "s0.jsonl"],
+        &["--merge-shards"],
+        &["--shard", "0/2", "--merge-shards", "s0.jsonl"],
         &["--shard", "0/2", "--shard", "1/2"],
         &["--shard", "2/2"],
         &["--shard", "two"],
         &["--fabric", "workers=2", "--shard", "0/2"],
-        &["--fabric", "workers=2", "--merge-shards", "s0.json"],
+        &["--fabric", "workers=2", "--merge-shards", "s0.jsonl"],
         &["--fabric", "workers=2", "--fabric-worker", "127.0.0.1:9"],
         &["--fabric-worker", "127.0.0.1:9", "--shard", "0/2"],
         &["--plan", "--fabric", "workers=2"],
         &["--plan", "--shard", "0/2"],
-        &["--plan", "--merge-shards", "s0.json"],
+        &["--plan", "--merge-shards", "s0.jsonl"],
         &["--plan", "--telemetry", "t.json"],
-        &["--telemetry", "t.json", "--merge-shards", "s0.json"],
+        &["--telemetry", "t.json", "--merge-shards", "s0.jsonl"],
         &["--fabric", "workers=0"],
         &["--fabric", "three"],
         &["--fabric-checkpoint", "c.ckpt"],

@@ -1,23 +1,24 @@
-//! The unified shard ledger, end-to-end in one process: a sweep sequence
+//! One partial-fold format, end-to-end in one process: a sweep sequence
 //! mixing all three workload shapes — a pair grid, a gathering fleet
-//! grid, and a topology sweep — emitted as one [`LedgerRecord`] stream
-//! per shard, merged, and replayed. For every m ∈ {2, 3, 7} the replayed
-//! reports must equal the direct run **byte for byte** as JSON: the
-//! single-cursor ledger has to keep grid and topo records in call order,
-//! or the x1–x11 `--shard`/`--merge-shards` pipeline would come apart.
+//! grid, and a topology sweep — recorded by every shard as fabric
+//! [`CheckpointRecord`] lines (what `--shard i/m` prints), folded by
+//! [`merge_records`] (what `--merge-shards` runs), and replayed. For
+//! every m ∈ {2, 3, 7} the replayed reports must equal the direct run
+//! **byte for byte** as JSON; at m = 7 the fleet sweep has fewer units
+//! than shards, so some shard ranges are empty and emit no record.
 //!
 //! Replay diagnostics live here too, each over its own owned
 //! [`ExecPlan::Replay`] — no session outlives its test.
 
 use rendezvous_bench::common::sweep_recorded;
-use rendezvous_bench::session::{ExecPlan, Session};
-use rendezvous_bench::sharding::{self, MergedLedger, ShardEmission};
+use rendezvous_bench::session::{ExecPlan, MergedLedger, Session};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, OrientedRingExplorer};
+use rendezvous_fabric::{checkpoint, merge_records, CheckpointRecord};
 use rendezvous_graph::{generators, GraphSpec, RingSpec, SeededSpec};
 use rendezvous_runner::{
     AlgorithmExecutor, Bounded, Bounds, FleetRule, GatheringExecutor, Grid, PieceExecutor, Runner,
-    RunnerError, ScenarioOutcome, SweepReport, TopoGrid, WorkPiece, WorkloadKind,
+    RunnerError, ScenarioOutcome, SweepReport, TopoGrid, WorkPiece, WorkloadKind, WorkloadMeta,
 };
 use std::sync::Arc;
 
@@ -52,7 +53,7 @@ impl PieceExecutor for CheapTopo {
 
 /// One deterministic sweep sequence through the recorded path: pair grid,
 /// fleet grid, topology grid — every workload shape the experiments run,
-/// in one emission stream.
+/// in one record stream.
 fn run_sequence(session: &mut Session) -> Vec<SweepReport> {
     let mut reports = Vec::new();
 
@@ -86,7 +87,7 @@ fn run_sequence(session: &mut Session) -> Vec<SweepReport> {
     let fleet_grid = Grid::new(horizon)
         .fleet_sizes(&[2, 3])
         .fleet_rule(rule)
-        .fleet_rotations(&[0, 1])
+        .fleet_rotations(&[0])
         .delays(&[0, 5]);
     reports.push(sweep_recorded(
         "ledger fleet",
@@ -128,45 +129,70 @@ fn to_json(reports: &[SweepReport]) -> Vec<String> {
 }
 
 #[test]
-fn mixed_ledger_shard_merge_replays_byte_identically_for_m_2_3_7() {
+fn mixed_shard_records_merge_and_replay_byte_identically_for_m_2_3_7() {
     let runner = Runner::sequential();
     let direct = run_sequence(&mut Session::direct(runner.clone()));
     let direct_json = to_json(&direct);
     assert!(direct.iter().all(SweepReport::clean));
+    let kinds = [WorkloadKind::Grid, WorkloadKind::Grid, WorkloadKind::Topo];
 
     for m in [2usize, 3, 7] {
-        // Shard pass: one emission per shard, each a single mixed
-        // record stream, crossing the "process boundary" as JSON.
-        let emissions: Vec<ShardEmission> = (0..m)
-            .map(|i| {
-                let mut session = Session::new(runner.clone(), ExecPlan::shard(i, m));
-                let partials = run_sequence(&mut session);
-                let emission = session.finish().expect("a shard plan emits its ledger");
-                assert_eq!(partials.len(), 3);
-                assert_eq!(emission.records.len(), 3, "one record per sweep");
-                assert_eq!(emission.records[0].meta.kind, WorkloadKind::Grid);
-                assert_eq!(emission.records[1].meta.kind, WorkloadKind::Grid);
-                assert_eq!(emission.records[2].meta.kind, WorkloadKind::Topo);
-                let json = serde_json::to_string(&emission).expect("serializable");
-                serde_json::from_str(&json).expect("round trip")
-            })
-            .collect();
-        let names: Vec<String> = (0..m).map(|i| format!("shard{i}.json")).collect();
-        let merged = sharding::merge_emissions(emissions, &names).expect("consistent shards");
+        // Shard pass: every shard's records cross the "process boundary"
+        // as the JSON lines a `--shard i/m` run prints.
+        let mut lines = String::new();
+        let mut per_sweep = [0usize; 3];
+        for i in 0..m {
+            let mut session = Session::new(runner.clone(), ExecPlan::shard(i, m));
+            assert_eq!(run_sequence(&mut session).len(), 3);
+            for record in session.finish().expect("a shard plan returns its records") {
+                assert!(record.lo < record.hi, "an empty range emits no record");
+                assert_eq!(record.meta.kind, kinds[record.sweep]);
+                assert_eq!(record.report.executed(), record.hi - record.lo);
+                per_sweep[record.sweep] += 1;
+                lines.push_str(&record.to_line());
+            }
+        }
+        for (sweep, direct) in direct.iter().enumerate() {
+            assert_eq!(
+                per_sweep[sweep],
+                m.min(direct.executed()),
+                "sweep #{sweep}, m = {m}"
+            );
+        }
+        if m == 7 {
+            assert!(
+                per_sweep[1] < m,
+                "the fleet sweep must leave some shards empty"
+            );
+        }
+        let records = checkpoint::parse(&lines).expect("shard lines parse back");
+        assert_eq!(
+            records
+                .iter()
+                .map(CheckpointRecord::to_line)
+                .collect::<String>(),
+            lines,
+            "records re-serialize byte-identically (m = {m})"
+        );
+        let merged = MergedLedger {
+            records: merge_records(records).expect("consistent shards"),
+            source: format!("{m} shards"),
+        };
 
         // The merged records alone must already equal the direct folds.
-        let merged_json: Vec<String> = merged
-            .records
-            .iter()
-            .map(|r| serde_json::to_string(&r.report).expect("serializable"))
-            .collect();
-        assert_eq!(merged_json, direct_json, "merged records differ (m = {m})");
+        let merged_reports: Vec<SweepReport> =
+            merged.records.iter().map(|(_, r)| r.clone()).collect();
+        assert_eq!(
+            to_json(&merged_reports),
+            direct_json,
+            "merged records differ (m = {m})"
+        );
 
         // Replay pass: the sequence consumes the merged ledger instead of
         // executing, and must reproduce the direct reports byte for byte.
         let mut session = Session::new(runner.clone(), ExecPlan::Replay(merged));
         let replayed = run_sequence(&mut session);
-        assert!(session.finish().is_none(), "a replay emits no ledger");
+        assert!(session.finish().is_none(), "a replay emits no records");
         assert_eq!(
             to_json(&replayed),
             direct_json,
@@ -175,26 +201,28 @@ fn mixed_ledger_shard_merge_replays_byte_identically_for_m_2_3_7() {
     }
 }
 
-/// The satellite diagnostics: ledger exhaustion and record/sweep kind
-/// mismatches must name the sweep's position in the sequence, the
-/// expected versus found record kind, and the ledger's source — through
-/// the real `sweep_recorded` path, not a fabricated plan.
+/// Replay diagnostics: ledger exhaustion and fingerprint mismatches must
+/// name the sweep's position in the sequence, the expected versus found
+/// fingerprint, and the ledger's source — through the real
+/// `sweep_recorded` path, not a fabricated plan.
 #[test]
-fn replay_diagnostics_name_position_kind_and_source() {
+fn replay_diagnostics_name_position_fingerprints_and_source() {
     let runner = Runner::sequential();
-    // A genuine single-shard emission of the mixed sequence: one Grid,
-    // one Grid (fleet), one Topo record, fingerprints intact.
+    // A genuine single-shard run of the mixed sequence: one Grid, one
+    // Grid (fleet), one Topo record, fingerprints intact.
     let mut session = Session::new(runner.clone(), ExecPlan::shard(0, 1));
     let _ = run_sequence(&mut session);
-    let records = session
+    let records: Vec<(WorkloadMeta, SweepReport)> = session
         .finish()
-        .expect("a shard plan emits its ledger")
-        .records;
+        .expect("a shard plan returns its records")
+        .into_iter()
+        .map(|r| (r.meta, r.report))
+        .collect();
     assert_eq!(records.len(), 3);
 
     // Replays `records` as a ledger read from `source`, returning the
     // diagnostic the sequence panics with.
-    let caught = |records: Vec<sharding::LedgerRecord>, source: &str| -> String {
+    let caught = |records: Vec<(WorkloadMeta, SweepReport)>, source: &str| -> String {
         let ledger = MergedLedger {
             records,
             source: source.into(),
@@ -211,21 +239,24 @@ fn replay_diagnostics_name_position_kind_and_source() {
 
     // Exhaustion: the merged ledger holds only the first record, but the
     // sequence asks for three sweeps.
-    let msg = caught(vec![records[0].clone()], "a.json, b.json");
+    let msg = caught(vec![records[0].clone()], "a.jsonl, b.jsonl");
     assert!(
-        msg.contains("sweep #1") && msg.contains("holds only 1") && msg.contains("a.json, b.json"),
-        "exhaustion must name the position, ledger length and source: {msg}"
+        msg.contains("sweep #1")
+            && msg.contains(&records[1].0.fingerprint())
+            && msg.contains("holds only 1")
+            && msg.contains("a.jsonl, b.jsonl"),
+        "exhaustion must name the position, fingerprint, ledger length and source: {msg}"
     );
 
-    // Kind mismatch: the first sweep of the sequence is a grid sweep,
-    // but the ledger leads with the topo record.
-    let msg = caught(vec![records[2].clone()], "c.json");
+    // Mismatch: the first sweep of the sequence is a grid sweep, but the
+    // ledger leads with the topo record.
+    let msg = caught(vec![records[2].clone()], "c.jsonl");
     assert!(
         msg.contains("sweep #0")
-            && msg.contains("expected a grid sweep")
-            && msg.contains("recorded a topo sweep")
-            && msg.contains("c.json"),
-        "mismatch must name position, both kinds and the source: {msg}"
+            && msg.contains(&format!("expected {}", records[0].0.fingerprint()))
+            && msg.contains(&format!("recorded {}", records[2].0.fingerprint()))
+            && msg.contains("c.jsonl"),
+        "mismatch must name position, both fingerprints and the source: {msg}"
     );
 
     // Leftovers: a ledger longer than the sequence is refused when the
@@ -234,7 +265,7 @@ fn replay_diagnostics_name_position_kind_and_source() {
     longer.push(records[0].clone());
     let ledger = MergedLedger {
         records: longer,
-        source: "d.json".into(),
+        source: "d.jsonl".into(),
     };
     let mut session = Session::new(runner, ExecPlan::Replay(ledger));
     let _ = run_sequence(&mut session);
@@ -242,7 +273,7 @@ fn replay_diagnostics_name_position_kind_and_source() {
         .expect_err("unconsumed records must panic");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(
-        msg.contains("replay consumed 3 of 4") && msg.contains("d.json"),
+        msg.contains("replay consumed 3 of 4") && msg.contains("d.jsonl"),
         "leftovers must name the counts and the source: {msg}"
     );
 }

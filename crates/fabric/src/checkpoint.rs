@@ -7,13 +7,17 @@
 //! `scenarios_executed` telemetry counter staying at zero on a resume of
 //! a finished run.
 //!
-//! Each record carries exactly the `(meta, report)` pair that the shard
-//! ledger's `LedgerRecord::new` consumes, so a checkpoint stream is a
-//! per-range refinement of the per-shard ledger format: same fingerprint
-//! discipline, same fold payloads, finer grain. Only the final line of
-//! the file may be damaged (the append that was in flight when the
-//! coordinator died); damage anywhere earlier is refused as corruption
-//! rather than silently skipped.
+//! The record is also the output format of a manual `--shard i/m` run
+//! of the experiments binary: one line per sweep whose shard range is
+//! non-empty. Shard files and checkpoints are therefore interchangeable —
+//! `--merge-shards` folds shard files through [`merge_records`], the
+//! resume path's checks plus full coverage, and shard files can seed a
+//! `--fabric-checkpoint` run that executes only the missing ranges.
+//! Only the final line of a file may be damaged (the append that was in
+//! flight when the coordinator died); damage anywhere earlier is refused
+//! as corruption rather than silently skipped.
+//!
+//! [`merge_records`]: crate::merge_records
 
 use crate::error::FabricError;
 use rendezvous_runner::{SweepReport, WorkloadMeta};
@@ -36,6 +40,16 @@ pub struct CheckpointRecord {
     pub meta: WorkloadMeta,
     /// The fold of `[lo, hi)`, at global indices.
     pub report: SweepReport,
+}
+
+impl CheckpointRecord {
+    /// The record as one JSONL line, newline included.
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        let mut line = serde_json::to_string(self).expect("checkpoint records always serialize");
+        line.push('\n');
+        line
+    }
 }
 
 /// Parses a checkpoint file's text into records.
@@ -124,10 +138,8 @@ impl CheckpointWriter {
     /// rather than continue with a checkpoint that silently stopped
     /// recording.
     pub fn append(&mut self, record: &CheckpointRecord) -> Result<(), FabricError> {
-        let mut line = serde_json::to_string(record).expect("checkpoint records always serialize");
-        line.push('\n');
         self.file
-            .write_all(line.as_bytes())
+            .write_all(record.to_line().as_bytes())
             .and_then(|()| self.file.flush())
             .map_err(|e| {
                 FabricError::Checkpoint(format!("append to {} failed: {e}", self.path.display()))
@@ -156,10 +168,7 @@ mod tests {
     }
 
     fn lines(records: &[CheckpointRecord]) -> String {
-        records
-            .iter()
-            .map(|r| serde_json::to_string(r).unwrap() + "\n")
-            .collect()
+        records.iter().map(CheckpointRecord::to_line).collect()
     }
 
     #[test]

@@ -134,17 +134,12 @@ impl Coordinator {
     /// prior run's checkpoint (empty slice for a fresh run).
     #[must_use]
     pub fn new(cfg: CoordinatorConfig, checkpoint: Vec<CheckpointRecord>) -> Coordinator {
-        let mut resume: BTreeMap<usize, Vec<CheckpointRecord>> = BTreeMap::new();
-        let mut resumed = 0;
-        for rec in checkpoint {
-            resumed += 1;
-            resume.entry(rec.sweep).or_default().push(rec);
-        }
+        let resumed = checkpoint.len();
         Coordinator {
             cfg,
             sweeps: Vec::new(),
             workers: BTreeMap::new(),
-            resume,
+            resume: by_sweep(checkpoint),
             stats: FabricStats {
                 resumed,
                 ..FabricStats::default()
@@ -358,8 +353,8 @@ impl Coordinator {
     }
 
     /// Folds every sweep's chunk reports, in ascending range order, into
-    /// the per-sweep merged reports — the exact payload the shard
-    /// ledger's replay path renders.
+    /// the per-sweep merged reports — the exact payload the experiments
+    /// binary's replay path renders.
     ///
     /// # Errors
     ///
@@ -369,20 +364,7 @@ impl Coordinator {
         if outstanding > 0 {
             return Err(FabricError::Incomplete { outstanding });
         }
-        Ok(self
-            .sweeps
-            .iter()
-            .map(|s| {
-                let mut merged = SweepReport::default();
-                for chunk in &s.chunks {
-                    match &chunk.slot {
-                        Slot::Done(report) => merged = merged.merge(report),
-                        _ => unreachable!("outstanding() == 0 guarantees all chunks are done"),
-                    }
-                }
-                (s.meta, merged)
-            })
-            .collect())
+        Ok(self.sweeps.iter().map(|s| (s.meta, s.fold())).collect())
     }
 
     /// Registers sweep `sweep` (fingerprint `meta`) if it is the next
@@ -419,6 +401,70 @@ impl Coordinator {
             size.div_ceil(self.cfg.workers.max(1) * 8).max(1)
         }
     }
+}
+
+impl SweepState {
+    /// The merge of every chunk's report, in ascending range order.
+    fn fold(&self) -> SweepReport {
+        self.chunks
+            .iter()
+            .fold(SweepReport::default(), |merged, chunk| match &chunk.slot {
+                Slot::Done(report) => merged.merge(report),
+                _ => unreachable!("a sweep is folded only once every chunk is done"),
+            })
+    }
+}
+
+/// Folds completed-range records — a checkpoint file, or the lines every
+/// `--shard i/m` run prints — into one full `(meta, report)` pair per
+/// sweep, through the checks a resuming coordinator applies to its
+/// checkpoint: every record of a sweep carries the sweep's fingerprint
+/// and no two ranges overlap. A merge must also be complete: the sweep
+/// indices run densely from 0 and each sweep's ranges cover it whole.
+///
+/// # Errors
+///
+/// [`FabricError::Checkpoint`] naming the sweep: a fingerprint that
+/// disagrees, an overlap (a duplicated shard), an uncovered range (a
+/// missing shard), or a sweep index with no records at all.
+pub fn merge_records(
+    records: Vec<CheckpointRecord>,
+) -> Result<Vec<(WorkloadMeta, SweepReport)>, FabricError> {
+    let mut by_sweep = by_sweep(records);
+    let count = by_sweep.last_key_value().map_or(0, |(&last, _)| last + 1);
+    (0..count)
+        .map(|sweep| {
+            let done = by_sweep.remove(&sweep).ok_or_else(|| {
+                FabricError::Checkpoint(format!("sweep #{sweep} has no records at all"))
+            })?;
+            let meta = done[0].meta;
+            // Chunks as large as the sweep: each gap becomes exactly one
+            // pending chunk, so a refusal names the whole uncovered range.
+            let state = build_sweep(sweep, meta, meta.size.max(1), done)?;
+            match state
+                .chunks
+                .iter()
+                .find(|c| matches!(c.slot, Slot::Pending))
+            {
+                Some(gap) => Err(FabricError::Checkpoint(format!(
+                    "sweep #{sweep}: range [{}, {}) of {} is not covered",
+                    gap.lo,
+                    gap.hi,
+                    meta.fingerprint()
+                ))),
+                None => Ok((meta, state.fold())),
+            }
+        })
+        .collect()
+}
+
+/// Groups records by sweep index.
+fn by_sweep(records: Vec<CheckpointRecord>) -> BTreeMap<usize, Vec<CheckpointRecord>> {
+    let mut grouped: BTreeMap<usize, Vec<CheckpointRecord>> = BTreeMap::new();
+    for rec in records {
+        grouped.entry(rec.sweep).or_default().push(rec);
+    }
+    grouped
 }
 
 /// Carves sweep `sweep`'s partition: checkpointed ranges become `Done`
@@ -486,5 +532,110 @@ fn carve_gap(
             slot: Slot::Pending,
         });
         at = end;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rendezvous_runner::{GroupStats, WorkloadKind};
+
+    fn meta(digest: u64, size: usize) -> WorkloadMeta {
+        WorkloadMeta {
+            kind: WorkloadKind::Grid,
+            digest,
+            full_size: size,
+            size,
+        }
+    }
+
+    /// A record of `[lo, hi)` whose fold executed every unit of it.
+    fn record(sweep: usize, lo: usize, hi: usize, meta: WorkloadMeta) -> CheckpointRecord {
+        let mut report = SweepReport::default();
+        report.groups.push(GroupStats {
+            executed: hi - lo,
+            meetings: hi - lo,
+            ..GroupStats::default()
+        });
+        CheckpointRecord {
+            sweep,
+            lo,
+            hi,
+            meta,
+            report,
+        }
+    }
+
+    fn refusal(records: Vec<CheckpointRecord>) -> String {
+        match merge_records(records) {
+            Err(FabricError::Checkpoint(msg)) => msg,
+            other => panic!("expected a checkpoint refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn merge_folds_ranges_in_any_order_into_one_report_per_sweep() {
+        let (a, b) = (meta(1, 10), meta(2, 4));
+        let merged = merge_records(vec![
+            record(1, 0, 4, b),
+            record(0, 6, 10, a),
+            record(0, 0, 6, a),
+        ])
+        .unwrap();
+        assert_eq!(merged.len(), 2);
+        assert_eq!((merged[0].0, merged[0].1.executed()), (a, 10));
+        assert_eq!((merged[1].0, merged[1].1.executed()), (b, 4));
+        assert!(merge_records(Vec::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn merge_refuses_a_gap_naming_the_sweep_and_the_range() {
+        let a = meta(1, 10);
+        let msg = refusal(vec![record(0, 0, 3, a), record(0, 7, 10, a)]);
+        assert!(
+            msg.contains("sweep #0") && msg.contains("[3, 7)") && msg.contains("not covered"),
+            "{msg}"
+        );
+        let msg = refusal(vec![record(0, 0, 10, a), record(1, 2, 4, meta(2, 4))]);
+        assert!(msg.contains("sweep #1") && msg.contains("[0, 2)"), "{msg}");
+    }
+
+    #[test]
+    fn merge_refuses_an_overlap_naming_the_sweep() {
+        let a = meta(1, 10);
+        // A duplicated shard file: the same range twice.
+        let msg = refusal(vec![
+            record(0, 0, 5, a),
+            record(0, 5, 10, a),
+            record(0, 5, 10, a),
+        ]);
+        assert!(
+            msg.contains("sweep #0") && msg.contains("overlaps"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn merge_refuses_a_disagreeing_fingerprint_naming_both() {
+        let (a, other) = (meta(1, 10), meta(9, 10));
+        let msg = refusal(vec![record(0, 0, 5, a), record(0, 5, 10, other)]);
+        assert!(
+            msg.contains("sweep #0")
+                && msg.contains(&a.fingerprint())
+                && msg.contains(&other.fingerprint()),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn merge_refuses_a_sweep_index_with_no_records() {
+        let msg = refusal(vec![
+            record(0, 0, 4, meta(1, 4)),
+            record(2, 0, 4, meta(3, 4)),
+        ]);
+        assert!(
+            msg.contains("sweep #1") && msg.contains("no records"),
+            "{msg}"
+        );
     }
 }

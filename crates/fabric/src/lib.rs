@@ -31,7 +31,9 @@
 //!
 //! Checkpoint/resume appends one JSONL [`CheckpointRecord`] per
 //! completed range; a relaunched coordinator carves those ranges out of
-//! its dispatch plan and re-runs zero completed units.
+//! its dispatch plan and re-runs zero completed units. The same record
+//! is the output of a manual `--shard i/m` run, and [`merge_records`]
+//! folds such files through the resume path's checks.
 //!
 //! The dispatch logic is deliberately split from the sockets:
 //! [`Coordinator`] sees only calls and millisecond timestamps, which is
@@ -51,7 +53,9 @@ pub mod wire;
 pub mod worker;
 
 pub use checkpoint::{CheckpointRecord, CheckpointWriter};
-pub use coordinator::{Coordinator, CoordinatorConfig, FabricStats, LeaseReply, WorkerId};
+pub use coordinator::{
+    merge_records, Coordinator, CoordinatorConfig, FabricStats, LeaseReply, WorkerId,
+};
 pub use error::{FabricError, WireError};
 pub use protocol::{Message, PROTOCOL_VERSION};
 pub use server::{FabricOutcome, FabricServer, ServerConfig};

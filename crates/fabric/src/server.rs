@@ -45,7 +45,7 @@ pub struct ServerConfig {
 #[derive(Debug)]
 pub struct FabricOutcome {
     /// Per-sweep `(fingerprint, merged fold)` in sweep-sequence order —
-    /// ready to become the replay ledger.
+    /// the replay ledger's records as they are.
     pub sweeps: Vec<(WorkloadMeta, SweepReport)>,
     /// The merge of every finished worker's telemetry snapshot.
     pub telemetry: TelemetrySnapshot,

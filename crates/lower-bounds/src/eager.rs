@@ -9,10 +9,10 @@
 //! algorithm and reports every intermediate quantity, so experiments can
 //! verify the chain numerically.
 
-use crate::{hamiltonian_path, oriented_ring_size, trim, LowerBoundError, TrimmedAlgorithm};
+use crate::trim::{execute, trim_with};
+use crate::{hamiltonian_path, oriented_ring_size, LowerBoundError, TrimmedAlgorithm};
 use rendezvous_core::{Label, RendezvousAlgorithm};
-use rendezvous_graph::NodeId;
-use rendezvous_sim::{AgentSpec, Simulation};
+use rendezvous_runner::AlgorithmExecutor;
 
 /// Everything the Theorem 3.1 construction produces on a concrete
 /// algorithm.
@@ -56,32 +56,6 @@ impl EagerChainReport {
     }
 }
 
-/// Runs one execution `α(x, px, y, py)` with simultaneous start and returns
-/// its meeting round.
-fn execution_time(
-    algorithm: &dyn RendezvousAlgorithm,
-    x: Label,
-    px: usize,
-    y: Label,
-    py: usize,
-    horizon: u64,
-) -> Result<u64, LowerBoundError> {
-    let a = algorithm.agent(x, NodeId::new(px))?;
-    let b = algorithm.agent(y, NodeId::new(py))?;
-    let out = Simulation::new(algorithm.graph())
-        .agent(Box::new(a), AgentSpec::immediate(NodeId::new(px)))
-        .agent(Box::new(b), AgentSpec::immediate(NodeId::new(py)))
-        .max_rounds(horizon)
-        .run()?;
-    out.meeting()
-        .map(|m| m.round)
-        .ok_or(LowerBoundError::NoMeeting {
-            labels: (x.get(), y.get()),
-            starts: (px, py),
-            horizon,
-        })
-}
-
 /// Runs the full Theorem 3.1 construction for `algorithm` (which must
 /// operate on an oriented ring) with per-execution round cap `horizon`.
 ///
@@ -91,7 +65,7 @@ fn execution_time(
 ///
 /// # Errors
 ///
-/// * Ring/meeting errors as in [`trim`],
+/// * Ring/meeting errors as in [`trim`](crate::trim),
 /// * [`LowerBoundError::EagerDichotomyViolated`] if some pair violates
 ///   Fact 3.5 — this happens precisely when the algorithm's cost is *not*
 ///   `E + o(E)`, i.e. when the theorem's premise fails.
@@ -102,7 +76,10 @@ pub fn eager_chain_audit(
     let n = oriented_ring_size(algorithm.graph())?;
     let e = (n - 1) as u64;
     let f = e.div_ceil(2);
-    let trimmed = trim(algorithm, horizon)?;
+    // One executor for trim and the tournament: the tournament's
+    // executions reuse the plans trim compiled.
+    let executor = AlgorithmExecutor::new(algorithm);
+    let trimmed = trim_with(&executor, algorithm, horizon)?;
     let phi = trimmed.phi(e);
 
     // Heavy-side selection (mirror if needed).
@@ -141,7 +118,7 @@ pub fn eager_chain_audit(
     for i in 0..k {
         for j in (i + 1)..k {
             let (x, y) = (heavy[i].min(heavy[j]), heavy[i].max(heavy[j]));
-            let t = execution_time(algorithm, x, 0, y, py, horizon)?;
+            let (t, _) = execute(&executor, (x.get(), 0), (y.get(), py), horizon)?;
             let (dx, dy) = (disp(x, t), disp(y, t));
             let x_eager = dx >= dy + sign_adjusted_f(f);
             let y_eager = dy >= dx + sign_adjusted_f(f);

@@ -9,7 +9,7 @@
 use crate::{behavior_vector, oriented_ring_size, BehaviorVector, LowerBoundError};
 use rendezvous_core::{Label, RendezvousAlgorithm};
 use rendezvous_graph::NodeId;
-use rendezvous_sim::{AgentSpec, Simulation};
+use rendezvous_runner::{AlgorithmExecutor, Executor, Scenario};
 
 /// The result of trimming: per-label horizons `m_x`, trimmed behaviour
 /// vectors, and the worst time/cost observed across all executions
@@ -72,39 +72,32 @@ pub fn trim(
     algorithm: &dyn RendezvousAlgorithm,
     horizon: u64,
 ) -> Result<TrimmedAlgorithm, LowerBoundError> {
-    let graph = algorithm.graph();
-    let n = oriented_ring_size(graph)?;
+    trim_with(&AlgorithmExecutor::new(algorithm), algorithm, horizon)
+}
+
+/// [`trim`] with its executions on `executor` (which wraps `algorithm`),
+/// so a caller's further executions reuse the plans trim compiled. The
+/// executions stream one scenario at a time: nothing but the running
+/// maxima is kept.
+pub(crate) fn trim_with(
+    executor: &AlgorithmExecutor<'_>,
+    algorithm: &dyn RendezvousAlgorithm,
+    horizon: u64,
+) -> Result<TrimmedAlgorithm, LowerBoundError> {
+    let n = oriented_ring_size(algorithm.graph())?;
     let l = algorithm.label_space().size();
     let mut horizons = vec![0u64; l as usize];
     let mut max_time = 0u64;
     let mut max_cost = 0u64;
     for x in 1..=l {
         for y in (x + 1)..=l {
-            let (lx, ly) = (Label::new(x).expect(">0"), Label::new(y).expect(">0"));
             for px in 0..n {
-                for py in 0..n {
-                    if px == py {
-                        continue;
-                    }
-                    let a = algorithm.agent(lx, NodeId::new(px))?;
-                    let b = algorithm.agent(ly, NodeId::new(py))?;
-                    let out = Simulation::new(graph)
-                        .agent(Box::new(a), AgentSpec::immediate(NodeId::new(px)))
-                        .agent(Box::new(b), AgentSpec::immediate(NodeId::new(py)))
-                        .max_rounds(horizon)
-                        .run()?;
-                    let Some(meeting) = out.meeting() else {
-                        return Err(LowerBoundError::NoMeeting {
-                            labels: (x, y),
-                            starts: (px, py),
-                            horizon,
-                        });
-                    };
-                    let t = meeting.round;
+                for py in (0..n).filter(|&py| py != px) {
+                    let (t, cost) = execute(executor, (x, px), (y, py), horizon)?;
                     horizons[(x - 1) as usize] = horizons[(x - 1) as usize].max(t);
                     horizons[(y - 1) as usize] = horizons[(y - 1) as usize].max(t);
                     max_time = max_time.max(t);
-                    max_cost = max_cost.max(out.cost());
+                    max_cost = max_cost.max(cost);
                 }
             }
         }
@@ -122,6 +115,29 @@ pub fn trim(
         max_time,
         max_cost,
     })
+}
+
+/// Runs the execution `α(x, px, y, py)` with simultaneous start on
+/// `executor` and returns its meeting round and cost.
+///
+/// # Errors
+///
+/// [`LowerBoundError::NoMeeting`] if the agents do not meet within
+/// `horizon`; [`LowerBoundError::Runner`] if the execution fails.
+pub(crate) fn execute(
+    executor: &AlgorithmExecutor<'_>,
+    (x, px): (u64, usize),
+    (y, py): (u64, usize),
+    horizon: u64,
+) -> Result<(u64, u64), LowerBoundError> {
+    let scenario = Scenario::pair(x, y, NodeId::new(px), NodeId::new(py), 0, horizon);
+    let out = executor.run(&scenario)?;
+    let time = out.time.ok_or(LowerBoundError::NoMeeting {
+        labels: (x, y),
+        starts: (px, py),
+        horizon,
+    })?;
+    Ok((time, out.cost))
 }
 
 #[cfg(test)]

@@ -50,15 +50,16 @@ fn experiment_rows_serialize_for_csv_and_json_export() {
     assert_eq!(serde_json::to_string(&m).unwrap(), r#"{"time":3,"cost":4}"#);
 }
 
-/// A shard ledger — a stream of `{meta, report}` [`LedgerRecord`]s
-/// whose workload kind is a tagged enum value — must round-trip
-/// **byte-identically** through the vendored serde,
+/// A shard ledger — the checkpoint lines a `--shard i/m` run prints,
+/// one `{sweep, lo, hi, meta, report}` record per sweep, whose workload
+/// kind is a tagged enum value — must round-trip **byte-identically**
+/// through the vendored serde and the checkpoint parser,
 /// k-agent fleet witnesses, per-family topology groups and per-scenario
 /// ratio bounds included: the property every multi-process sweep of
 /// x1–x11 stands on.
 #[test]
 fn shard_ledgers_round_trip_tagged_records_byte_identically() {
-    use rendezvous_bench::sharding::{LedgerRecord, ShardEmission};
+    use rendezvous_fabric::{checkpoint, CheckpointRecord};
     use rendezvous_graph::{GraphSpec, NodeId, RingSpec};
     use rendezvous_runner::{
         Bounds, Placement, Scenario, ScenarioOutcome, SweepReport, WorkloadKind, WorkloadMeta,
@@ -102,42 +103,47 @@ fn shard_ledgers_round_trip_tagged_records_byte_identically() {
         ),
         Some(Bounds { time: 60, cost: 18 }),
     );
-    let emission = ShardEmission {
-        shard: 1,
-        of: 3,
-        records: vec![
-            LedgerRecord {
-                meta: WorkloadMeta {
-                    kind: WorkloadKind::Grid,
-                    digest: 0xabad_cafe,
-                    full_size: 40,
-                    size: 12,
-                },
-                report: fleet_report,
+    let records = [
+        CheckpointRecord {
+            sweep: 0,
+            lo: 4,
+            hi: 8,
+            meta: WorkloadMeta {
+                kind: WorkloadKind::Grid,
+                digest: 0xabad_cafe,
+                full_size: 40,
+                size: 12,
             },
-            LedgerRecord {
-                meta: WorkloadMeta {
-                    kind: WorkloadKind::Topo,
-                    digest: 0x0def_aced,
-                    full_size: 96,
-                    size: 48,
-                },
-                report: topo_report,
+            report: fleet_report,
+        },
+        CheckpointRecord {
+            sweep: 1,
+            lo: 16,
+            hi: 32,
+            meta: WorkloadMeta {
+                kind: WorkloadKind::Topo,
+                digest: 0x0def_aced,
+                full_size: 96,
+                size: 48,
             },
-        ],
-    };
-    let json = serde_json::to_string_pretty(&emission).unwrap();
-    let back: ShardEmission = serde_json::from_str(&json).unwrap();
-    assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
+            report: topo_report,
+        },
+    ];
+    let lines: String = records.iter().map(CheckpointRecord::to_line).collect();
+    assert_eq!(lines.lines().count(), 2, "one line per record");
+    let back = checkpoint::parse(&lines).unwrap();
+    let again: String = back.iter().map(CheckpointRecord::to_line).collect();
+    assert_eq!(again, lines);
     // The workload kind's tag is visible in the text…
-    assert!(json.contains("\"Grid\"") && json.contains("\"Topo\""));
-    // …and the payloads come back intact.
-    let stats = back.records[0].report.solo();
+    assert!(lines.contains("\"Grid\"") && lines.contains("\"Topo\""));
+    // …and the ranges and payloads come back intact.
+    assert_eq!((back[1].sweep, back[1].lo, back[1].hi), (1, 16, 32));
+    let stats = back[0].report.solo();
     let witness = stats.worst_ratio.as_ref().unwrap();
     assert_eq!(witness.scenario.k(), 4);
     assert_eq!(witness.time_bound, Some(900));
     assert_eq!(stats.merges, 3);
-    let ring = back.records[1].report.group("ring").unwrap().clone();
+    let ring = back[1].report.group("ring").unwrap().clone();
     let witness = ring.worst_time.as_ref().unwrap();
     assert_eq!(
         witness.spec.as_ref().unwrap().build().unwrap().node_count(),
