@@ -117,9 +117,9 @@
 //! `experiments serve --store DIR` turns the store into a query
 //! service: length-framed JSON queries over a loopback socket (the
 //! fabric's wire discipline), answered cached-or-computed, with typed
-//! refusals for schema/fingerprint drift. `experiments query` is the
-//! client; `query --direct` computes the same answer locally through the
-//! same session path, and CI byte-diffs the two.
+//! refusals for schema drift and address mismatches. `experiments
+//! query` is the client; `query --direct` computes the same answer
+//! locally through the same session path, and CI byte-diffs the two.
 //!
 //! # Topology sweeps
 //!
@@ -630,7 +630,7 @@ fn render_reply(reply: serve::Reply) {
             "schema mismatch: entry is v{found}, this build speaks v{expected}"
         )),
         serve::Reply::FingerprintMismatch { found, expected } => query_refused(&format!(
-            "fingerprint mismatch: entry holds {found}, its address demands {expected}"
+            "address mismatch: the entry's header derives {found}, it was requested as {expected}"
         )),
         serve::Reply::BadQuery { reason } => query_refused(&format!("bad query: {reason}")),
         serve::Reply::Bye => eprintln!("query: server shut down"),

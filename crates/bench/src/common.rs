@@ -36,7 +36,9 @@ pub struct Measured {
 }
 
 /// The standard adversarial grid of one algorithm: every given label pair
-/// in both role orders × all ordered start pairs × the given delays.
+/// in both role orders × all ordered start pairs × the given delays,
+/// [executed by](Grid::executed_by) `algorithm` — so two algorithms
+/// with equal bounds (hence equal horizons) never share a sweep identity.
 #[must_use]
 pub fn adversarial_grid(
     algorithm: &dyn RendezvousAlgorithm,
@@ -48,6 +50,7 @@ pub fn adversarial_grid(
         .label_pairs_both_orders(label_pairs)
         .delays(delays)
         .all_start_pairs(algorithm.graph())
+        .executed_by(algorithm)
 }
 
 /// Sweeps any [`Workload`] through a [`PieceExecutor`] under the
@@ -75,7 +78,7 @@ where
     W: Workload + ?Sized,
     E: PieceExecutor + ?Sized,
 {
-    session.sweep(context, workload, executor).0
+    session.sweep(context, workload, executor).report
 }
 
 /// Sweeps the standard adversarial grid through the session and returns

@@ -7,10 +7,11 @@
 //! by its defining parameters (algorithm + [`GraphSpec`] + grid
 //! shape); the answer is the full [`SweepReport`] — served from the
 //! store when the entry exists, computed (and recorded) through the
-//! ordinary sweep path on a miss. Schema or fingerprint drift in a
-//! stored entry produces a *typed refusal*, never a wrong answer: the
-//! store's read path treats every inconsistency as a miss, and the
-//! token path surfaces the miss kind verbatim.
+//! ordinary sweep path on a miss. Schema drift, or an entry filed under
+//! an address its header does not derive, produces a *typed refusal*,
+//! never a wrong answer: the store's read path treats every
+//! inconsistency as a miss, and the token path surfaces the miss kind
+//! verbatim.
 //!
 //! Byte-identity discipline: the compute path is
 //! [`sweep_spec`](crate::x10_topologies::sweep_spec) — the exact path
@@ -79,12 +80,13 @@ pub enum Reply {
         /// The version this server speaks.
         expected: u32,
     },
-    /// Typed refusal: the entry's recorded fingerprint disagrees with
-    /// the one its address demands.
+    /// Typed refusal: the address re-derived from the entry's header is
+    /// not the token it was requested under (the variant keeps its
+    /// wire name).
     FingerprintMismatch {
-        /// Fingerprint in the entry header.
+        /// The address the entry's header derives.
         found: String,
-        /// Fingerprint the token derivation expects.
+        /// The address the entry was requested under.
         expected: String,
     },
     /// The query itself is malformed (unknown algorithm, degenerate
@@ -236,7 +238,7 @@ fn grid_reply(
         .expect("algorithm validated above");
     Reply::Report {
         cached: swept.cached,
-        token: swept.token,
+        token: swept.key.token().to_string(),
         report: swept.report,
     }
 }

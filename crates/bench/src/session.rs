@@ -121,6 +121,20 @@ impl MergedLedger {
     }
 }
 
+/// One [`Session::sweep`] answer.
+#[derive(Debug)]
+pub struct Swept {
+    /// The sweep's report: full under a direct or replay plan, a
+    /// partial fold under a shard or worker plan, empty in a dry run.
+    pub report: SweepReport,
+    /// True when the session's store served the report.
+    pub cached: bool,
+    /// The store key addressing the sweep under the session's engine —
+    /// derived once per sweep, for the `--plan` store column, the
+    /// lookup, the write-back and the sweep service's token.
+    pub key: StoreKey,
+}
+
 /// Everything a sweep needs to run: see the [module docs](self).
 pub struct Session {
     /// Executes every sweep; its telemetry sink, if any, is the
@@ -194,16 +208,8 @@ impl Session {
         matches!(self.plan, ExecPlan::Direct | ExecPlan::Replay(_))
     }
 
-    /// The store key of `context`'s sweep of `meta` under this
-    /// session's engine — one derivation for lookups, write-backs, the
-    /// `--plan` store column and the sweep service's tokens.
-    #[must_use]
-    pub fn key(&self, context: &str, meta: &WorkloadMeta) -> StoreKey {
-        StoreKey::new(context, meta, self.engine.name())
-    }
-
-    /// Runs one sweep under the plan and returns its report plus
-    /// whether the store served it.
+    /// Runs one sweep under the plan and returns its report, whether
+    /// the store served it, and its store key.
     ///
     /// # Panics
     ///
@@ -211,21 +217,32 @@ impl Session {
     /// names the sweep in the message), when a store write fails, and —
     /// in replay mode — when the merged ledger's next record disagrees
     /// with this run's workload.
-    pub fn sweep<W, E>(&mut self, context: &str, workload: &W, executor: &E) -> (SweepReport, bool)
+    pub fn sweep<W, E>(&mut self, context: &str, workload: &W, executor: &E) -> Swept
     where
         W: Workload + ?Sized,
         E: PieceExecutor + ?Sized,
     {
         let meta = workload.meta();
+        let key = StoreKey::new(context, &meta, self.engine.name());
+        let answer = |report, cached, key| Swept {
+            report,
+            cached,
+            key,
+        };
         // The empty report is safe downstream for the same reason empty
         // shard folds are: every experiment tolerates partial stats, and
         // a dry run emits no rows.
         if let ExecPlan::DryRun = self.plan {
-            self.note(context, &meta, workload.pieces(0, workload.size()).len());
-            return (SweepReport::default(), false);
+            self.note(
+                context,
+                &meta,
+                &key,
+                workload.pieces(0, workload.size()).len(),
+            );
+            return answer(SweepReport::default(), false, key);
         }
-        if let Some(report) = self.lookup(context, &meta) {
-            return (report, true);
+        if let Some(report) = self.lookup(context, &key) {
+            return answer(report, true, key);
         }
         let sweep = self.cursor;
         self.cursor += 1;
@@ -262,11 +279,11 @@ impl Session {
                         report: report.clone(),
                     });
                 }
-                return (report, false);
+                return answer(report, false, key);
             }
             ExecPlan::FabricWorker(worker) => {
                 let report = worker.sweep(sweep, context, workload, executor, &self.runner);
-                return (report, false);
+                return answer(report, false, key);
             }
             ExecPlan::Replay(ledger) => ledger
                 .record(sweep, &meta)
@@ -278,8 +295,8 @@ impl Session {
             "empty adversarial sweep for {context} — misconfigured workload \
              (no label pairs, no delays, or a graph without distinct start pairs)"
         );
-        self.record(context, &meta, &report);
-        (report, false)
+        self.record(context, &key, &meta, &report);
+        answer(report, false, key)
     }
 
     /// Ends the run: a shard plan returns its records for emission, a
@@ -317,9 +334,9 @@ impl Session {
     /// Prints one `--plan` line (stdout: the plan *is* the output in
     /// this mode). With a store the line gains a `store=` column from
     /// the same lookup a real run makes, so its prediction is exact.
-    fn note(&mut self, context: &str, meta: &WorkloadMeta, pieces: usize) {
+    fn note(&mut self, context: &str, meta: &WorkloadMeta, key: &StoreKey, pieces: usize) {
         let store = match &self.store {
-            Some(store) if store.load(&self.key(context, meta)).is_ok() => " store=cached",
+            Some(store) if store.load(key).is_ok() => " store=cached",
             Some(_) => " store=miss",
             None => "",
         };
@@ -332,14 +349,14 @@ impl Session {
     }
 
     /// Consults the store for a cached report. `None` without a store
-    /// or on any typed miss (absent, corrupt, schema drift, fingerprint
-    /// drift) — the caller executes, exactly as without a store. A hit
-    /// counts `store_hits`, a miss `store_misses`, under the process
-    /// scope (cache behavior is a property of this run's store, not of
-    /// the swept space).
-    fn lookup(&self, context: &str, meta: &WorkloadMeta) -> Option<SweepReport> {
+    /// or on any typed miss (absent, corrupt, schema drift, an entry at
+    /// the wrong address) — the caller executes, exactly as without a
+    /// store. A hit counts `store_hits`, a miss `store_misses`, under
+    /// the process scope (cache behavior is a property of this run's
+    /// store, not of the swept space).
+    fn lookup(&self, context: &str, key: &StoreKey) -> Option<SweepReport> {
         let store = self.store.as_ref()?;
-        let loaded = store.load(&self.key(context, meta));
+        let loaded = store.load(key);
         if let Some(metrics) = self.metrics() {
             let name = if loaded.is_ok() {
                 "store_hits"
@@ -369,16 +386,10 @@ impl Session {
     ///
     /// Panics if the write fails — a cache that silently stops recording
     /// would make cold and warm runs diverge in what they execute.
-    fn record(&self, context: &str, meta: &WorkloadMeta, report: &SweepReport) {
+    fn record(&self, context: &str, key: &StoreKey, meta: &WorkloadMeta, report: &SweepReport) {
         if let Some(store) = &self.store {
             store
-                .save(
-                    &self.key(context, meta),
-                    context,
-                    self.engine.name(),
-                    meta,
-                    report,
-                )
+                .save(key, context, self.engine.name(), meta, report)
                 .unwrap_or_else(|e| panic!("cannot record {context} in the result store: {e}"));
         }
     }
@@ -484,17 +495,16 @@ mod tests {
         }
         // The engine is part of the store key, so the two stores hold
         // differently addressed entries for the same sweep.
-        let meta = crate::common::adversarial_grid(
-            &alg,
-            &all_label_pairs(4),
-            &standard_delays(5),
-            4 * alg.time_bound(),
-        )
-        .meta();
-        assert_ne!(
-            stepped.key(alg.name(), &meta).token(),
-            batched.key(alg.name(), &meta).token()
-        );
+        let entries = |engine: Engine| -> Vec<_> {
+            std::fs::read_dir(root.join(engine.name()))
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect()
+        };
+        let (stepped_entries, batched_entries) =
+            (entries(Engine::Stepped), entries(Engine::Batched));
+        assert_eq!((stepped_entries.len(), batched_entries.len()), (1, 1));
+        assert_ne!(stepped_entries, batched_entries);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

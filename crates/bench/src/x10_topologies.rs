@@ -12,20 +12,20 @@
 //! back with replayable `(spec, scenario)` witnesses.
 //!
 //! The sweep shards across processes exactly like the scenario sweeps —
-//! a [`TopoGrid`] is just another [`Workload`]:
+//! a [`TopoGrid`] is just another [`Workload`](rendezvous_runner::Workload):
 //! `experiments x10 --shard i/m` prints per-shard [`SweepReport`]s as
 //! fabric checkpoint lines, `--merge-shards` folds them, and the merged
 //! run is byte-identical to a direct one (CI-checked).
 
 use crate::common::{markdown_table, standard_delays, standard_label_pairs};
 use crate::engine::Engine;
-use crate::session::Session;
+use crate::session::{Session, Swept};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
 use rendezvous_graph::{ErdosRenyiSpec, GraphSpec, RegularSpec, RingSpec, SeededSpec, TorusSpec};
 use rendezvous_runner::{
     AlgorithmExecutor, BatchExecutor, Bounds, Grid, PieceExecutor, Runner, RunnerError,
-    ScenarioOutcome, SweepReport, TopoEntry, TopoGrid, WorkPiece, Workload,
+    ScenarioOutcome, SweepReport, TopoEntry, TopoGrid, WorkPiece,
 };
 use rendezvous_telemetry::Metrics;
 use serde::Serialize;
@@ -235,17 +235,6 @@ pub fn sweep_single_spec(
     sweep_spec(&mut session, algorithm, spec, l, cap).map(|swept| swept.report)
 }
 
-/// One [`sweep_spec`] answer.
-#[derive(Debug)]
-pub struct SpecSweep {
-    /// The sweep's full report.
-    pub report: SweepReport,
-    /// True when the session's store served the report.
-    pub cached: bool,
-    /// The store token addressing the sweep under the session's engine.
-    pub token: String,
-}
-
 /// Sweeps a **single** seeded topology with one algorithm through the
 /// session's recorded-sweep path — the compute side of the sweep
 /// service. A served answer and a `query --direct` run both land here
@@ -264,7 +253,7 @@ pub fn sweep_spec(
     spec: GraphSpec,
     l: u64,
     cap: usize,
-) -> Option<SpecSweep> {
+) -> Option<Swept> {
     let which = match algorithm {
         "cheap" => Algo::Cheap,
         "fast" => Algo::Fast,
@@ -274,13 +263,7 @@ pub fn sweep_spec(
     let space = LabelSpace::new(l).expect("l >= 2");
     let (topo, explorers) = build_topo_grid(vec![spec], l, cap);
     let exec = AlgoTopoExecutor::new(session, space, which, explorers);
-    let token = session.key(context, &topo.meta()).token().to_string();
-    let (report, cached) = session.sweep(context, &topo, &exec);
-    Some(SpecSweep {
-        report,
-        cached,
-        token,
-    })
+    Some(session.sweep(context, &topo, &exec))
 }
 
 /// Sweeps one algorithm over the topo grid through the shared

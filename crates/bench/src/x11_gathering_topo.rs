@@ -105,7 +105,8 @@ pub fn build_gathering_topo_grid(
             .fleet_rule(rule)
             .fleet_rotations(&[0, 1])
             .delays(phases)
-            .sample_cap(cap);
+            .sample_cap(cap)
+            .executed_by(alg.as_ref());
         // Entry-level bounds from the capped grid actually swept —
         // tighter than `loosest_bound`, since the phase axis rarely
         // reaches the stagger's full modulus.

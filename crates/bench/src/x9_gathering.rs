@@ -83,7 +83,8 @@ pub fn run(n: usize, l: u64, ks: &[usize], session: &mut Session) -> Vec<Row> {
             let grid = Grid::new(4 * worst_bound)
                 .fleet_sizes(&[k])
                 .fleet_rule(rule.clone())
-                .delays(&standard_phases());
+                .delays(&standard_phases())
+                .executed_by(alg.as_ref());
             // The loosest per-scenario bound actually in the sweep (the
             // phases never reach the stagger's full modulus, so this is
             // tighter than `worst_bound`); identical in direct, shard

@@ -208,8 +208,19 @@ fn refusals_are_typed_and_never_wrong_bytes() {
         .find_map(|l| l.strip_prefix("query: computed ").map(str::to_string))
         .expect("the client reports the token");
     let path = dir.join(format!("{token}.json"));
+    // A copy under another sweep's token is refused: its header derives
+    // a different address.
+    let alias = token.replacen("serve-fast", "serve-cheap", 1);
+    assert_ne!(alias, token);
+    std::fs::copy(&path, dir.join(format!("{alias}.json"))).unwrap();
+    refused(
+        &["query", "--addr", &addr, "--token", &alias],
+        "address mismatch",
+    );
     let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, text.replacen("\"schema\": 1", "\"schema\": 99", 1)).unwrap();
+    let current = format!("\"schema\": {}", rendezvous_store::SCHEMA_VERSION);
+    assert!(text.contains(&current), "fixture must rewrite the schema");
+    std::fs::write(&path, text.replacen(&current, "\"schema\": 99", 1)).unwrap();
     refused(
         &["query", "--addr", &addr, "--token", &token],
         "schema mismatch",

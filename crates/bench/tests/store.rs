@@ -1,9 +1,9 @@
-//! The result store, end to end through the real binary: a warm
-//! `--store` rerun must serve every sweep from the cache —
-//! byte-identical output, **zero** scenarios executed — and the
-//! fingerprint a store entry is addressed by must be the same one the
-//! `--plan` preview prints and the fabric checkpoint records (one
-//! derivation, [`WorkloadMeta::fingerprint`], used by all three).
+//! The result store, end to end through the real binary: cold and warm
+//! `--store` runs must render the direct run's bytes — the warm one
+//! serving every sweep from the cache, **zero** scenarios executed —
+//! and the fingerprint a store entry is addressed by must be the same
+//! one the `--plan` preview prints and the fabric checkpoint records
+//! (one derivation, [`WorkloadMeta::fingerprint`], used by all three).
 
 use rendezvous_runner::WorkloadMeta;
 use rendezvous_store::Store;
@@ -91,6 +91,44 @@ fn warm_store_rerun_is_byte_identical_and_executes_nothing() {
     for p in [&tel_cold, &tel_warm] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// A selection whose pair grids share horizons across algorithms (x3's
+/// relabel weights 2 and 4, x4's frontier) renders the direct run's
+/// bytes from a cold store and from a warm one, and the warm run
+/// executes nothing.
+#[test]
+fn cold_and_warm_store_runs_of_all_x11_match_direct() {
+    let dir = scratch("all-x11");
+    let tel_warm = scratch("all-x11-tel-warm");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    let args = ["all", "x11", "--quick", "--json"];
+    let direct = stdout_of(&args);
+    let cold = stdout_of(&[&args[..], &["--store", dir_s]].concat());
+    let warm = stdout_of(
+        &[
+            &args[..],
+            &["--store", dir_s, "--telemetry", tel_warm.to_str().unwrap()],
+        ]
+        .concat(),
+    );
+    assert!(
+        direct == cold,
+        "a cold store run must render the direct bytes"
+    );
+    assert!(
+        direct == warm,
+        "a warm store run must render the direct bytes"
+    );
+    let sidecar = std::fs::read_to_string(&tel_warm).unwrap();
+    assert!(
+        !sidecar.contains("scenarios_executed"),
+        "the warm run executes nothing: {sidecar}"
+    );
+    assert!(Store::open(&dir).unwrap().verify().unwrap().clean());
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&tel_warm);
 }
 
 #[test]
@@ -192,7 +230,7 @@ fn plan_store_and_checkpoint_agree_on_every_fingerprint() {
     for name in &names {
         let token = name.strip_suffix(".json").unwrap_or(name);
         let entry = store.load_token(token).unwrap();
-        assert_eq!(entry.fingerprint, entry.meta.fingerprint());
+        assert!(token.ends_with(&entry.meta.fingerprint()), "{token}");
     }
 
     // Checkpoint records: the fabric persists the same fingerprints.
@@ -218,8 +256,8 @@ fn plan_store_and_checkpoint_agree_on_every_fingerprint() {
     let _ = std::fs::remove_file(&ckpt);
 }
 
-/// The in-process side of the same satellite: the store key's
-/// fingerprint component is `WorkloadMeta::fingerprint` verbatim.
+/// The in-process side of the same satellite: the store key's token
+/// ends with `WorkloadMeta::fingerprint` verbatim.
 #[test]
 fn store_key_embeds_the_canonical_fingerprint() {
     let meta = WorkloadMeta {
@@ -229,6 +267,5 @@ fn store_key_embeds_the_canonical_fingerprint() {
         size: 32,
     };
     let key = rendezvous_store::StoreKey::new("x1 cheap", &meta, "stepped");
-    assert_eq!(key.fingerprint(), meta.fingerprint());
     assert!(key.token().ends_with(&meta.fingerprint()));
 }

@@ -13,6 +13,14 @@ use std::sync::Arc;
 /// are exposed as [`RendezvousAlgorithm::time_bound`] and
 /// [`RendezvousAlgorithm::cost_bound`] so that experiments can assert
 /// *measured ≤ bound* on every execution.
+///
+/// The `Debug` form is part of the sweep identity: a grid executed by
+/// an algorithm folds its `Debug` output into the workload digest that
+/// fingerprints the sweep, keys the result store and checks fabric
+/// leases. Derive `Debug` over every field, or make a manual `Debug`
+/// print every field that changes a schedule (parameters, graph,
+/// explorer); a field it hides lets two different sweeps share one
+/// cached report.
 pub trait RendezvousAlgorithm: fmt::Debug + Send + Sync {
     /// Short name used in experiment output (e.g. `"cheap"`, `"fast"`).
     fn name(&self) -> &'static str;

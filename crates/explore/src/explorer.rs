@@ -36,6 +36,11 @@ pub trait ExploreRun {
 /// "port-labelled map with a marked starting position" scenario; explorers
 /// for weaker scenarios (trial-DFS, UXS) simply ignore the argument, and
 /// their documentation says so.
+///
+/// The `Debug` form is part of the sweep identity: algorithms print
+/// their explorer in their own `Debug`, which sweep grids fold into the
+/// workload digest. A manual `Debug` must print every field that
+/// changes the walk.
 pub trait Explorer: fmt::Debug + Send + Sync {
     /// The bound `E`: from any start node, all nodes are visited within
     /// `bound()` rounds.

@@ -14,6 +14,9 @@ use std::sync::Arc;
 /// An indexed family `EXPLORE_1, EXPLORE_2, …` where level `i` explores
 /// every graph of the intended class with at most `2^i` nodes, with bound
 /// `E_i` non-decreasing in `i`.
+///
+/// As for [`Explorer`], the `Debug` form is part of the sweep identity
+/// of the algorithms built on a family.
 pub trait ExplorationFamily: std::fmt::Debug + Send + Sync {
     /// The procedure for graphs of size at most `2^level`.
     fn level(&self, level: u32) -> Arc<dyn Explorer>;

@@ -2,7 +2,9 @@
 
 use crate::workload::{WorkPiece, Workload, WorkloadKind, WorkloadMeta};
 use crate::{Placement, Scenario};
+use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_graph::{NodeId, PortLabeledGraph};
+use std::fmt::Write as _;
 
 /// The deterministic placement-spreading rule of a fleet sweep: given a
 /// fleet size `k`, a start rotation and a delay phase, it lays `k` agents
@@ -155,6 +157,8 @@ pub struct Grid {
     fleet_rule: Option<FleetRule>,
     /// Fleet mode: the start-rotation axis (default `[0]`).
     rotations: Vec<usize>,
+    /// Digest of the algorithm that runs the grid ([`Grid::executed_by`]).
+    executor: Option<u64>,
 }
 
 impl Grid {
@@ -170,6 +174,7 @@ impl Grid {
             fleet_sizes: Vec::new(),
             fleet_rule: None,
             rotations: vec![0],
+            executor: None,
         }
     }
 
@@ -292,6 +297,20 @@ impl Grid {
         self
     }
 
+    /// Names the algorithm that runs this grid, making it part of the
+    /// grid's identity: its `Debug` form (every parameter, the explorer
+    /// and the full port adjacency — see [`RendezvousAlgorithm`]) is
+    /// folded into [`Grid`]'s [`WorkloadMeta`] digest. Two algorithms
+    /// with equal time bounds share a horizon, so without this their
+    /// sweeps of one graph would share a fingerprint and a store entry.
+    #[must_use]
+    pub fn executed_by(mut self, algorithm: &dyn RendezvousAlgorithm) -> Self {
+        let mut h = crate::workload::Fnv1a::new();
+        write!(h, "{algorithm:?}").expect("hashing cannot fail");
+        self.executor = Some(h.finish());
+        self
+    }
+
     /// Caps the sweep at `max` scenarios via deterministic even striding.
     #[must_use]
     pub fn sample_cap(mut self, max: usize) -> Self {
@@ -300,12 +319,15 @@ impl Grid {
         self
     }
 
-    /// Content digest of everything that defines this grid's scenario
-    /// list — sizes alone are not a sound identity (two grids with
-    /// different horizons or label values can enumerate equally many
-    /// units), so the [`WorkloadMeta`] fingerprint folds the actual
-    /// axes. Each axis is prefixed with its length so adjacent
-    /// variable-length axes cannot alias.
+    /// Content digest of everything that defines this grid's outcomes
+    /// — sizes alone are not a sound identity (two grids with different
+    /// horizons or label values can enumerate equally many units), so
+    /// the [`WorkloadMeta`] fingerprint folds the actual axes plus the
+    /// [`Grid::executed_by`] algorithm, if named. Each axis is prefixed
+    /// with its length so adjacent variable-length axes cannot alias.
+    /// A grid that names no algorithm (a topology entry, whose
+    /// [`TopoGrid`](crate::TopoGrid) is shared by several) keeps the
+    /// digest of its axes alone.
     pub(crate) fn digest(&self) -> u64 {
         let mut h = crate::workload::Fnv1a::new();
         h.write_u64(self.horizon);
@@ -344,6 +366,9 @@ impl Grid {
                 rule.digest_into(&mut h);
             }
             None => h.write_u64(0),
+        }
+        if let Some(executor) = self.executor {
+            h.write_u64(executor);
         }
         h.finish()
     }

@@ -27,6 +27,7 @@
 use crate::workload::{WorkPiece, Workload, WorkloadKind, WorkloadMeta};
 use crate::{Grid, RunnerError};
 use rendezvous_graph::{GraphSpec, PortLabeledGraph};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One spec's slot in a [`TopoGrid`]: the spec, its graph (built once,
@@ -129,7 +130,7 @@ impl Workload for TopoGrid {
         let mut h = crate::workload::Fnv1a::new();
         h.write_usize(self.entries.len());
         for entry in &self.entries {
-            h.write_bytes(format!("{:?}", entry.spec).as_bytes());
+            write!(h, "{:?}", entry.spec).expect("hashing cannot fail");
             h.write_u64(entry.grid.digest());
         }
         WorkloadMeta {

@@ -80,20 +80,25 @@ impl std::fmt::Display for WorkloadKind {
     }
 }
 
-/// A workload's self-description: its kind, a content digest of the
-/// parameters that define the swept space, and the two sizes (pre-cap
-/// and post-cap). Shard ledgers record this next to each partial fold so
-/// a merge or replay against a *different* sweep sequence fails loudly
-/// instead of folding garbage; the fabric's lease protocol carries it in
-/// every work request so a coordinator never hands out ranges of a space
-/// the worker is not actually enumerating; the result store keys cached
-/// reports by it.
+/// A workload's self-description and the one identity of a sweep: its
+/// kind, a content digest of everything that determines the swept
+/// outcomes, and the two sizes (pre-cap and post-cap). Shard ledgers
+/// record this next to each partial fold so a merge or replay against a
+/// *different* sweep sequence fails loudly instead of folding garbage;
+/// the fabric's lease protocol carries it in every work request so a
+/// coordinator never hands out ranges of a space the worker is not
+/// actually enumerating; the result store addresses cached reports by
+/// it.
 ///
 /// The sizes alone are *not* a sound identity — two grids on the same
 /// graph with different horizons or label values can enumerate the same
 /// number of units — which is why the `digest` folds the actual
-/// defining content (horizon, labels, starts, delays, caps, fleet axes;
-/// per-spec identities for topology sweeps).
+/// defining content: horizon, labels, starts, delays, caps and fleet
+/// axes, the algorithm a pair or fleet grid is
+/// [executed by](crate::Grid::executed_by) (parameters, explorer and
+/// graph), and per-spec identities for topology sweeps. A topology
+/// sweep shared by several algorithms leaves the algorithm to the
+/// sweep's context, which the store key also covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkloadMeta {
     /// What kind of workload this is.
@@ -162,6 +167,15 @@ impl Fnv1a {
     #[must_use]
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// Folds formatted text, so a `Debug` form can be digested without
+/// building the string.
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
     }
 }
 

@@ -1,9 +1,10 @@
 //! The store CLI: `store verify DIR` — an fsck for a sweep-report store.
 //!
-//! Walks every entry under `DIR`, re-deriving its fingerprint and key
-//! token from its own provenance header, and reports anything whose
-//! name, header and content disagree. Exit status 0 only when the store
-//! is clean.
+//! Walks every entry under `DIR` through the store's one address check
+//! — an entry is clean when it decodes as a v2 entry and the key token
+//! re-derived from its own header is its file name, exactly when a
+//! lookup would serve it — and reports every entry that is not. Exit
+//! status 0 only when the store is clean.
 
 use rendezvous_store::Store;
 use std::path::Path;

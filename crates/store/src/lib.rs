@@ -3,32 +3,34 @@
 //!
 //! A sweep is a pure function of its workload
 //! ([`WorkloadMeta`](rendezvous_runner::WorkloadMeta) carries a content
-//! digest of the enumerated space) plus the executor/engine
-//! configuration, so its [`SweepReport`] can be cached and replayed
-//! byte-identically. The store keeps **one file per entry** under a root
-//! directory, named by a canonical [`StoreKey`] token that composes the
-//! schema version, the engine, the sweep's human context and the
-//! workload fingerprint — so `ls` on the root reads as a cache manifest
-//! and two different sweeps can never collide on a path.
+//! digest of the enumerated space and of the algorithm that runs it)
+//! plus the sweep's context and engine, so its [`SweepReport`] can be
+//! cached and replayed byte-identically. The store keeps **one file per
+//! entry** under a root directory, named by a canonical [`StoreKey`]
+//! token that composes the schema version, the engine, the sweep's
+//! human context and the workload fingerprint — so `ls` on the root
+//! reads as a cache manifest and two different sweeps can never collide
+//! on a path.
 //!
 //! The discipline, in three rules:
 //!
 //! * **Writes are atomic.** [`Store::save`] writes a hidden temp file
 //!   and renames it into place; a crashed writer leaves either the old
 //!   entry or the new one, never a torn file.
-//! * **Reads never trust the disk.** [`Store::load`] treats *anything*
+//! * **Reads never trust the disk.** A read treats *anything*
 //!   unexpected — a missing file, truncated JSON, garbage bytes, a
-//!   schema from a different store generation, a fingerprint that
-//!   disagrees with the key — as a typed [`Miss`], so a cache consumer's
+//!   schema from a different store generation, an entry filed under
+//!   the wrong address — as a typed [`Miss`], so a cache consumer's
 //!   only two outcomes are "the exact bytes we wrote" or "recompute".
 //!   Corruption can demote a hit to a miss; it can never serve a wrong
 //!   report or panic.
-//! * **Entries are self-describing.** Each file carries a provenance
-//!   header (schema, fingerprint, context, engine, full
-//!   [`WorkloadMeta`]) next to the report, and [`Store::verify`] — the
-//!   `store verify DIR` fsck — walks every entry re-deriving its
-//!   fingerprint and key token from that header, flagging entries whose
-//!   name, header and content no longer agree.
+//! * **One address check.** Each entry (layout v2: `schema`, `context`,
+//!   `engine`, `meta`, `report`) carries exactly the provenance its key
+//!   is derived from, and it is served only when `StoreKey::new(context,
+//!   meta, engine)`, re-derived from that header, equals the token it was
+//!   read under. [`Store::load`], [`Store::load_token`] and
+//!   [`Store::verify`] — the `store verify DIR` fsck — all go through
+//!   that one check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,10 +41,14 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Version of the on-disk entry layout. Bump it when the entry format
-/// (or anything that feeds report bytes, like the fold semantics)
-/// changes incompatibly: every entry written under another version
-/// becomes a typed [`Miss::SchemaMismatch`] instead of a wrong answer.
-pub const SCHEMA_VERSION: u32 = 1;
+/// (or anything that feeds report bytes or sweep identities, like the
+/// fold semantics or the workload digest) changes incompatibly: every
+/// entry written under another version becomes a typed
+/// [`Miss::SchemaMismatch`] instead of a wrong answer, and every key
+/// addresses a fresh file. Version 2 folds the executing algorithm into
+/// pair and fleet grid digests, so version-1 stores — which may hold
+/// one entry for two algorithms — all miss.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The canonical content address of one cached sweep: schema version +
 /// engine + sanitized context + a digest of the raw `(context, engine)`
@@ -54,7 +60,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreKey {
     token: String,
-    fingerprint: String,
 }
 
 impl StoreKey {
@@ -63,20 +68,20 @@ impl StoreKey {
     /// described by `meta`, executed by `engine`.
     #[must_use]
     pub fn new(context: &str, meta: &WorkloadMeta, engine: &str) -> StoreKey {
-        let fingerprint = meta.fingerprint();
         let mut h = Fnv1a::new();
         h.write_bytes(context.as_bytes());
         h.write_bytes(&[0]);
         h.write_bytes(engine.as_bytes());
         let token = format!(
-            "v{SCHEMA_VERSION}-{engine}-{}-{:08x}-{fingerprint}",
+            "v{SCHEMA_VERSION}-{engine}-{}-{:08x}-{}",
             sanitize(context),
             // The low half is plenty for disambiguating same-sanitization
             // contexts; the workload digest in the fingerprint carries
             // the heavy identity.
-            h.finish() & 0xffff_ffff
+            h.finish() & 0xffff_ffff,
+            meta.fingerprint()
         );
-        StoreKey { token, fingerprint }
+        StoreKey { token }
     }
 
     /// The file-name token (without the `.json` extension).
@@ -84,14 +89,7 @@ impl StoreKey {
     pub fn token(&self) -> &str {
         &self.token
     }
-
-    /// The workload fingerprint component of the key.
-    #[must_use]
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
 }
-
 /// Lowercases and folds `context` into a file-name-safe slug: runs of
 /// anything but ASCII alphanumerics become single dashes.
 fn sanitize(context: &str) -> String {
@@ -112,15 +110,13 @@ fn sanitize(context: &str) -> String {
 }
 
 /// One on-disk entry: the provenance header plus the cached report. The
-/// header repeats everything the key token encodes (and the full
-/// [`WorkloadMeta`]), which is what lets [`Store::verify`] re-derive the
-/// expected file name from the content alone.
+/// header is exactly what the entry's [`StoreKey`] is derived from,
+/// which is what lets every read re-derive the address from the content
+/// alone and refuse an entry filed under any other token.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Entry {
     /// Entry layout version ([`SCHEMA_VERSION`] at write time).
     pub schema: u32,
-    /// The workload's canonical fingerprint at write time.
-    pub fingerprint: String,
     /// The sweep's human context label.
     pub context: String,
     /// The engine that executed the sweep (`"stepped"` / `"batched"` —
@@ -149,12 +145,13 @@ pub enum Miss {
         /// The `schema` recorded in the entry.
         found: u32,
     },
-    /// The entry's recorded fingerprint disagrees with the workload
-    /// being looked up (or with its own recorded meta).
+    /// The address re-derived from the entry's own header is not the
+    /// token it was read under: the entry describes another sweep (it
+    /// was copied, renamed or planted).
     FingerprintMismatch {
-        /// The fingerprint recorded in the entry.
+        /// The address the entry's header derives.
         found: String,
-        /// The fingerprint the lookup (or the entry's own meta) expects.
+        /// The address the entry was requested under.
         expected: String,
     },
 }
@@ -167,9 +164,11 @@ impl fmt::Display for Miss {
             Miss::SchemaMismatch { found } => {
                 write!(f, "schema v{found} entry in a v{SCHEMA_VERSION} store")
             }
-            Miss::FingerprintMismatch { found, expected } => {
-                write!(f, "entry fingerprint {found} does not match {expected}")
-            }
+            Miss::FingerprintMismatch { found, expected } => write!(
+                f,
+                "entry address {found} (derived from its header) does not match \
+                 the requested address {expected}"
+            ),
         }
     }
 }
@@ -197,11 +196,11 @@ pub struct VerifyProblem {
     pub problem: String,
 }
 
-/// The result of an fsck walk: how many entries decoded cleanly, and
-/// every file that did not (or whose name/header/content disagree).
+/// The result of an fsck walk: how many entries would be served, and
+/// every file that would not.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
-    /// Entries whose name, header and fingerprints all agree.
+    /// Entries that decode and sit at the address their header derives.
     pub ok: usize,
     /// Everything else, in file-name order.
     pub problems: Vec<VerifyProblem>,
@@ -247,50 +246,31 @@ impl Store {
         self.root.join(format!("{}.json", key.token()))
     }
 
-    /// Looks up the cached report for `key`.
+    /// Looks up the cached report for `key` — [`Store::load_token`] of
+    /// its token.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`Miss`], as for [`Store::load_token`].
+    pub fn load(&self, key: &StoreKey) -> Result<SweepReport, Miss> {
+        self.load_token(key.token()).map(|entry| entry.report)
+    }
+
+    /// Looks up an entry by its raw file token (also the sweep service's
+    /// query-by-token path). The entry is served only when the address
+    /// re-derived from its own header is `token`.
     ///
     /// # Errors
     ///
     /// A typed [`Miss`] for everything short of a clean hit — absence,
-    /// undecodable content, schema drift, fingerprint disagreement. The
+    /// undecodable content, schema drift, an address disagreement. The
     /// caller recomputes; this method never panics on disk content.
-    pub fn load(&self, key: &StoreKey) -> Result<SweepReport, Miss> {
-        let entry = self.load_entry_at(&self.path_of(key))?;
-        if entry.fingerprint == key.fingerprint {
-            Ok(entry.report)
-        } else {
-            Err(Miss::FingerprintMismatch {
-                found: entry.fingerprint,
-                expected: key.fingerprint.clone(),
-            })
-        }
-    }
-
-    /// Looks up an entry by its raw file token (the sweep service's
-    /// query-by-token path). The entry is validated against itself: its
-    /// recorded fingerprint must match its recorded meta.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`Miss`], as for [`Store::load`].
     pub fn load_token(&self, token: &str) -> Result<Entry, Miss> {
         // Refuse path-shaped tokens outright: a token is a file name.
         if token.contains('/') || token.contains('\\') || token.starts_with('.') {
             return Err(Miss::Absent);
         }
-        let entry = self.load_entry_at(&self.root.join(format!("{token}.json")))?;
-        let expected = entry.meta.fingerprint();
-        if entry.fingerprint != expected {
-            return Err(Miss::FingerprintMismatch {
-                found: entry.fingerprint,
-                expected,
-            });
-        }
-        Ok(entry)
-    }
-
-    fn load_entry_at(&self, path: &Path) -> Result<Entry, Miss> {
-        let text = match std::fs::read_to_string(path) {
+        let text = match std::fs::read_to_string(self.root.join(format!("{token}.json"))) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(Miss::Absent),
             Err(e) => return Err(Miss::Corrupt(format!("unreadable: {e}"))),
@@ -302,6 +282,13 @@ impl Store {
         if entry.schema != SCHEMA_VERSION {
             return Err(Miss::SchemaMismatch {
                 found: entry.schema,
+            });
+        }
+        let derived = StoreKey::new(&entry.context, &entry.meta, &entry.engine);
+        if derived.token != token {
+            return Err(Miss::FingerprintMismatch {
+                found: derived.token,
+                expected: token.to_string(),
             });
         }
         Ok(entry)
@@ -326,7 +313,6 @@ impl Store {
     ) -> Result<(), StoreError> {
         let entry = Entry {
             schema: SCHEMA_VERSION,
-            fingerprint: key.fingerprint.clone(),
             context: context.to_string(),
             engine: engine.to_string(),
             meta: *meta,
@@ -346,11 +332,10 @@ impl Store {
         })
     }
 
-    /// The fsck walk: every `*.json` entry under the root is decoded and
-    /// cross-checked — schema current, recorded fingerprint equal to the
-    /// fingerprint re-derived from the recorded meta, and file name
-    /// equal to the key token re-derived from the recorded provenance.
-    /// Hidden files (in-flight temp writes) are skipped.
+    /// The fsck walk: every `*.json` entry under the root is read
+    /// through [`Store::load_token`], so an entry is clean exactly when
+    /// a lookup would serve it. Hidden files (in-flight temp writes) are
+    /// skipped.
     ///
     /// # Errors
     ///
@@ -367,22 +352,8 @@ impl Store {
         names.sort();
         let mut report = VerifyReport::default();
         for name in names {
-            let token = name.trim_end_matches(".json").to_string();
-            match self.load_token(&token) {
-                Ok(entry) => {
-                    let expected = StoreKey::new(&entry.context, &entry.meta, &entry.engine);
-                    if expected.token() == token {
-                        report.ok += 1;
-                    } else {
-                        report.problems.push(VerifyProblem {
-                            file: name,
-                            problem: format!(
-                                "file name does not match its provenance (expected {}.json)",
-                                expected.token()
-                            ),
-                        });
-                    }
-                }
+            match self.load_token(name.trim_end_matches(".json")) {
+                Ok(_) => report.ok += 1,
                 Err(miss) => report.problems.push(VerifyProblem {
                     file: name,
                     problem: miss.to_string(),
@@ -428,7 +399,7 @@ mod tests {
     #[test]
     fn key_tokens_are_readable_and_collision_resistant() {
         let key = StoreKey::new("x1 cheap n=8 l=4", &meta(0xabc), "stepped");
-        assert!(key.token().starts_with("v1-stepped-x1-cheap-n-8-l-4-"));
+        assert!(key.token().starts_with("v2-stepped-x1-cheap-n-8-l-4-"));
         assert!(key.token().ends_with("-grid-0000000000000abc-f48-s17"));
         // Same sanitized slug, different raw context → different token.
         let other = StoreKey::new("x1 cheap n:8 l.4", &meta(0xabc), "stepped");
@@ -506,7 +477,7 @@ mod tests {
         assert!(matches!(store.load(&key), Err(Miss::Corrupt(_))));
 
         // Wrong schema version.
-        let bumped = full.replacen("\"schema\": 1", "\"schema\": 99", 1);
+        let bumped = full.replacen("\"schema\": 2", "\"schema\": 99", 1);
         assert_ne!(bumped, full, "fixture must actually rewrite the schema");
         std::fs::write(&path, bumped).unwrap();
         assert_eq!(store.load(&key), Err(Miss::SchemaMismatch { found: 99 }));
@@ -557,6 +528,36 @@ mod tests {
             .problems
             .iter()
             .any(|p| p.file == "v1-imposter.json" && p.problem.contains("does not match")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An entry copied under another well-formed token — here the same
+    /// workload under another context, so the fingerprint component
+    /// agrees — is refused by every read and flagged by the fsck: only
+    /// the address its own header derives serves it.
+    #[test]
+    fn an_entry_is_served_only_under_the_address_its_header_derives() {
+        let dir = scratch("address");
+        let store = Store::open(&dir).unwrap();
+        let m = meta(31);
+        let cheap = StoreKey::new("x1 cheap", &m, "stepped");
+        let fast = StoreKey::new("x1 fast", &m, "stepped");
+        store
+            .save(&cheap, "x1 cheap", "stepped", &m, &report(8))
+            .unwrap();
+        std::fs::copy(store.path_of(&cheap), store.path_of(&fast)).unwrap();
+        let refused = Miss::FingerprintMismatch {
+            found: cheap.token().to_string(),
+            expected: fast.token().to_string(),
+        };
+        assert_eq!(store.load(&fast), Err(refused.clone()));
+        assert_eq!(store.load_token(fast.token()).unwrap_err(), refused);
+        assert_eq!(store.load(&cheap).unwrap().executed(), 8);
+        let fsck = store.verify().unwrap();
+        assert_eq!(fsck.ok, 1);
+        assert_eq!(fsck.problems.len(), 1);
+        assert_eq!(fsck.problems[0].file, format!("{}.json", fast.token()));
+        assert!(fsck.problems[0].problem.contains("does not match"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
