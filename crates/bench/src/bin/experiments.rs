@@ -70,11 +70,11 @@
 //! while sweeps execute (stdout untouched); `--telemetry FILE` writes a
 //! deterministic `TELEMETRY.json` sidecar after the run — exact
 //! counters in sorted sections, wall-clock data quarantined under
-//! `timing`. Both compose with `--fabric workers=N`: each worker streams
-//! `@progress` protocol lines over stderr (internal `--progress-stream`
-//! flag) for the driver's aggregated display, and hands its telemetry
-//! snapshot to the coordinator in its final frame, so the driver writes
-//! one merged sidecar. Neither flag may change the experiment output:
+//! `timing`. Both compose with `--fabric workers=N`: the driver draws its
+//! display from the coordinator it runs (registered sweep sizes,
+//! completed ranges), and each worker hands its telemetry snapshot to
+//! the coordinator in its final frame, so the driver writes one merged
+//! sidecar. Neither flag may change the experiment output:
 //! CI byte-diffs telemetry-on against telemetry-off on every push.
 //! `--telemetry` with `--merge-shards` is rejected — a merge replays
 //! recorded sweeps and executes nothing, so its sidecar would be
@@ -143,7 +143,8 @@ use rendezvous_bench::session::{ExecPlan, MergedLedger, Session};
 use rendezvous_bench::*;
 use rendezvous_runner::Runner;
 use rendezvous_store::Store;
-use rendezvous_telemetry::{Metrics, ProgressHub, ProgressReporter, StderrPump, TelemetrySnapshot};
+use rendezvous_telemetry::{Metrics, ProgressReporter, TelemetrySnapshot};
+use std::io::Read;
 use std::sync::Arc;
 
 struct Config {
@@ -274,8 +275,6 @@ struct Cli {
     engine: Engine,
     store: Option<String>,
     progress: bool,
-    /// Internal: emit `@progress` lines for a fabric driver.
-    progress_stream: bool,
     telemetry: Option<String>,
     mode: Mode,
     checkpoint: Option<String>,
@@ -298,7 +297,6 @@ impl Cli {
             engine: Engine::default(),
             store: None,
             progress: false,
-            progress_stream: false,
             telemetry: None,
             mode: Mode::Direct,
             checkpoint: None,
@@ -316,7 +314,6 @@ impl Cli {
                 "--parallel" => cli.parallel = true,
                 "--topo" => topo = true,
                 "--progress" => cli.progress = true,
-                "--progress-stream" => cli.progress_stream = true,
                 "--fabric-kill-one" => cli.kill_one = true,
                 "--fabric-self-kill" => cli.self_kill = true,
                 "--telemetry" => cli.telemetry = Some(value("a file path")),
@@ -404,7 +401,6 @@ impl Cli {
             (self.json, "--json"),
             (self.sequential, "--sequential"),
             (self.parallel, "--parallel"),
-            (self.progress, "--progress-stream"),
         ] {
             if on {
                 args.push(flag.into());
@@ -498,11 +494,14 @@ fn run_fabric(cli: &Cli, workers: usize) -> (MergedLedger, TelemetrySnapshot) {
     let args = cli.worker_args(server.addr());
     let exe =
         std::env::current_exe().unwrap_or_else(|e| fail(&format!("cannot locate own binary: {e}")));
+    let reporter = cli.progress.then(|| {
+        let progress = server.progress();
+        ProgressReporter::new(move || progress.counts())
+    });
     // Launch every worker before waiting on any, so they overlap; each
-    // worker's stderr is drained on a pump thread, so a failed worker's
-    // diagnostics still surface verbatim.
-    let hub = ProgressHub::new(workers);
-    let mut pumps: Vec<StderrPump> = Vec::with_capacity(workers);
+    // worker's stderr is drained on its own thread, so a full pipe never
+    // stalls a worker and a failed worker's diagnostics surface verbatim.
+    let mut drains = Vec::with_capacity(workers);
     let children: Vec<std::process::Child> = (0..workers)
         .map(|i| {
             let mut cmd = std::process::Command::new(&exe);
@@ -515,19 +514,31 @@ fn run_fabric(cli: &Cli, workers: usize) -> (MergedLedger, TelemetrySnapshot) {
             let mut child = cmd
                 .spawn()
                 .unwrap_or_else(|e| fail(&format!("cannot spawn fabric worker {i}: {e}")));
-            let stderr = child.stderr.take().expect("worker stderr is piped");
-            pumps.push(StderrPump::pump(stderr, &hub, i));
+            let mut stderr = child.stderr.take().expect("worker stderr is piped");
+            // analyze: allow(d5) — pipe drain, not a fold: one reader per
+            // worker keeps it from blocking on a full stderr; the buffered
+            // diagnostics are joined back in worker-index order below
+            drains.push(std::thread::spawn(move || {
+                let mut bytes = Vec::new();
+                let _ = stderr.read_to_end(&mut bytes);
+                String::from_utf8_lossy(&bytes).into_owned()
+            }));
             child
         })
         .collect();
-    let reporter = cli.progress.then(|| ProgressReporter::aggregate(&hub));
     let statuses: Vec<std::io::Result<std::process::ExitStatus>> =
         children.into_iter().map(|mut c| c.wait()).collect();
-    let diagnostics: Vec<String> = pumps.into_iter().map(StderrPump::finish).collect();
+    let diagnostics: Vec<String> = drains
+        .into_iter()
+        .map(|d| d.join().unwrap_or_default())
+        .collect();
+    // The final reading comes after the join, once every frame the
+    // workers sent has reached the coordinator.
+    let joined = server.join();
     if let Some(reporter) = reporter {
         reporter.finish();
     }
-    let outcome = server.join().unwrap_or_else(|e| {
+    let outcome = joined.unwrap_or_else(|e| {
         eprintln!("fabric run failed: {e}");
         for (i, status) in statuses.iter().enumerate() {
             if !matches!(status, Ok(s) if s.success()) {
@@ -807,16 +818,16 @@ fn main() {
     let local_metrics = match cli.mode {
         Mode::FabricWorker { .. } => true,
         Mode::Fabric { .. } | Mode::DryRun => false,
-        _ => cli.progress || cli.progress_stream || cli.telemetry.is_some(),
+        _ => cli.progress || cli.telemetry.is_some(),
     };
     if local_metrics {
         session = session.with_metrics(Arc::new(Metrics::new()));
     }
-    // `--progress-stream` (machine lines for a fabric driver) wins over
-    // `--progress` (human display).
     let reporter = match session.metrics() {
-        Some(metrics) if cli.progress_stream => Some(ProgressReporter::stream(metrics)),
-        Some(metrics) if cli.progress => Some(ProgressReporter::human(metrics)),
+        Some(metrics) if cli.progress => {
+            let metrics = Arc::clone(metrics);
+            Some(ProgressReporter::new(move || metrics.progress().counts()))
+        }
         _ => None,
     };
 

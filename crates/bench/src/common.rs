@@ -2,15 +2,12 @@
 //! sweeps through the shared [`rendezvous_runner`] engine, and table
 //! rendering.
 
-use crate::engine::Engine;
+use crate::engine::EngineExecutor;
 use crate::session::Session;
 use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_explore::{Explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, PortLabeledGraph};
-use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, GroupStats, PieceExecutor,
-    SweepReport, Workload,
-};
+use rendezvous_runner::{Bounds, Grid, GroupStats, PieceExecutor, SweepReport, Workload};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -103,33 +100,9 @@ pub fn sweep_worst(
         time: algorithm.time_bound(),
         cost: algorithm.cost_bound(),
     });
-    // Both engines fold byte-identical reports (CI diffs them on every
-    // push); `--engine batched` collapses the delay axis per start pair.
-    // A telemetry sink observes either engine's executor — plan-cache
-    // hit rates and batch classification — without entering the fold
-    // (CI also diffs telemetry-on against telemetry-off).
-    let metrics = session.metrics().cloned();
-    let report = match session.engine {
-        Engine::Stepped => {
-            let mut executor = AlgorithmExecutor::new(algorithm);
-            if let Some(metrics) = &metrics {
-                executor = executor.with_metrics(metrics);
-            }
-            sweep_recorded(
-                algorithm.name(),
-                &grid,
-                &Bounded::new(&executor, bounds),
-                session,
-            )
-        }
-        Engine::Batched => {
-            let mut executor = BatchExecutor::new(algorithm).with_bounds(bounds);
-            if let Some(metrics) = &metrics {
-                executor = executor.with_metrics(metrics);
-            }
-            sweep_recorded(algorithm.name(), &grid, &executor, session)
-        }
-    };
+    let metrics = session.metrics().map(Arc::as_ref);
+    let executor = EngineExecutor::new(session.engine, algorithm, bounds, metrics);
+    let report = sweep_recorded(algorithm.name(), &grid, &executor, session);
     check_failures(algorithm, report.solo())
 }
 

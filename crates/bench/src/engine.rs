@@ -4,9 +4,16 @@
 //! Both engines produce byte-identical experiment outputs (that is
 //! CI-enforced); the choice is purely a throughput knob, surfaced as
 //! `experiments --engine {stepped,batched}`. The choice travels in the
-//! run's [`Session`](crate::session::Session) to its executor switch
-//! points ([`crate::common::sweep_worst`] and the `x10` per-piece
-//! executor).
+//! run's [`Session`](crate::session::Session) to [`EngineExecutor`], the
+//! one switch point both [`crate::common::sweep_worst`] and the `x10`
+//! per-piece executor build.
+
+use rendezvous_core::RendezvousAlgorithm;
+use rendezvous_runner::{
+    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, PieceExecutor, Runner, RunnerError,
+    ScenarioOutcome, WorkPiece,
+};
+use rendezvous_telemetry::Metrics;
 
 /// Which executor pair sweeps run through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,6 +45,62 @@ impl Engine {
         match self {
             Engine::Stepped => "stepped",
             Engine::Batched => "batched",
+        }
+    }
+}
+
+/// One algorithm's executor under an [`Engine`], judging every outcome
+/// against the sweep's bounds. Both variants fold byte-identical
+/// reports (CI diffs them on every push); a telemetry sink observes
+/// either one — plan-cache hit rates and batch classification — without
+/// entering the fold.
+pub enum EngineExecutor<'a> {
+    /// Round-by-round simulation, bounds attached as by [`Bounded`].
+    Stepped(AlgorithmExecutor<'a>, Option<Bounds>),
+    /// Delay-batched solving; the executor carries its own bounds.
+    Batched(BatchExecutor<'a>),
+}
+
+impl<'a> EngineExecutor<'a> {
+    /// Builds `engine`'s executor for `algorithm`, reporting into
+    /// `metrics` when a sink is attached.
+    #[must_use]
+    pub fn new(
+        engine: Engine,
+        algorithm: &'a dyn RendezvousAlgorithm,
+        bounds: Option<Bounds>,
+        metrics: Option<&Metrics>,
+    ) -> EngineExecutor<'a> {
+        match engine {
+            Engine::Stepped => {
+                let mut executor = AlgorithmExecutor::new(algorithm);
+                if let Some(metrics) = metrics {
+                    executor = executor.with_metrics(metrics);
+                }
+                EngineExecutor::Stepped(executor, bounds)
+            }
+            Engine::Batched => {
+                let mut executor = BatchExecutor::new(algorithm).with_bounds(bounds);
+                if let Some(metrics) = metrics {
+                    executor = executor.with_metrics(metrics);
+                }
+                EngineExecutor::Batched(executor)
+            }
+        }
+    }
+}
+
+impl PieceExecutor for EngineExecutor<'_> {
+    fn run_piece(
+        &self,
+        runner: &Runner,
+        piece: &WorkPiece<'_>,
+    ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
+        match self {
+            EngineExecutor::Stepped(executor, bounds) => {
+                Bounded::new(executor, *bounds).run_piece(runner, piece)
+            }
+            EngineExecutor::Batched(executor) => executor.run_piece(runner, piece),
         }
     }
 }

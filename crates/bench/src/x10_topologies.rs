@@ -18,14 +18,14 @@
 //! run is byte-identical to a direct one (CI-checked).
 
 use crate::common::{markdown_table, standard_delays, standard_label_pairs};
-use crate::engine::Engine;
+use crate::engine::{Engine, EngineExecutor};
 use crate::session::{Session, Swept};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
 use rendezvous_graph::{ErdosRenyiSpec, GraphSpec, RegularSpec, RingSpec, SeededSpec, TorusSpec};
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounds, Grid, PieceExecutor, Runner, RunnerError,
-    ScenarioOutcome, SweepReport, TopoEntry, TopoGrid, WorkPiece,
+    Bounds, Grid, PieceExecutor, Runner, RunnerError, ScenarioOutcome, SweepReport, TopoEntry,
+    TopoGrid, WorkPiece,
 };
 use rendezvous_telemetry::Metrics;
 use serde::Serialize;
@@ -139,27 +139,13 @@ impl PieceExecutor for AlgoTopoExecutor {
             time: alg.time_bound(),
             cost: alg.cost_bound(),
         };
-        // Same engine switch (and telemetry attachment) as
-        // `common::sweep_worst`: the batched executor folds at the
-        // piece's global offsets, so reports and the shard ledger stay
-        // byte-identical either way.
-        match self.engine {
-            Engine::Stepped => {
-                let mut executor = AlgorithmExecutor::new(alg.as_ref());
-                if let Some(metrics) = &self.metrics {
-                    executor = executor.with_metrics(metrics);
-                }
-                let outcomes = runner.outcomes(&executor, &piece.scenarios)?;
-                Ok((outcomes, Some(bounds)))
-            }
-            Engine::Batched => {
-                let mut executor = BatchExecutor::new(alg.as_ref()).with_bounds(Some(bounds));
-                if let Some(metrics) = &self.metrics {
-                    executor = executor.with_metrics(metrics);
-                }
-                executor.run_piece(runner, piece)
-            }
-        }
+        EngineExecutor::new(
+            self.engine,
+            alg.as_ref(),
+            Some(bounds),
+            self.metrics.as_deref(),
+        )
+        .run_piece(runner, piece)
     }
 }
 

@@ -284,6 +284,7 @@ pub fn render(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use crate::x10_topologies::standard_topo_specs;
+    use rendezvous_runner::Workload;
 
     /// A debug-affordable slice of the acceptance sweep: every family
     /// present, every sampled gathering within its own
@@ -334,8 +335,9 @@ mod tests {
         for m in [2usize, 3] {
             let mut merged = SweepReport::default();
             for i in 0..m {
+                let (lo, hi) = topo.shard(i, m);
                 let shard = Runner::sequential()
-                    .sweep_shard(&topo, i, m, &exec)
+                    .sweep_range(&topo, lo, hi, &exec)
                     .unwrap();
                 merged = merged.merge(&shard);
             }

@@ -166,7 +166,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rendezvous_runner::Runner;
+    use rendezvous_runner::{Runner, Workload};
 
     #[test]
     fn x9_gathering_scales_linearly_in_k() {
@@ -242,8 +242,9 @@ mod tests {
             let direct = Runner::sequential().sweep(&grid, &executor).unwrap();
             let mut merged = SweepReport::default();
             for i in 0..3 {
+                let (lo, hi) = grid.shard(i, 3);
                 let shard = Runner::sequential()
-                    .sweep_shard(&grid, i, 3, &executor)
+                    .sweep_range(&grid, lo, hi, &executor)
                     .unwrap();
                 merged = merged.merge(&shard);
             }

@@ -36,6 +36,8 @@ fn refused_flag_combinations_exit_with_usage_code_2() {
         &["--engine", "turbo"],
         &["--telemetry"],
         &["--spawn-shards", "3"],
+        // Retired: fabric workers no longer report progress over stderr.
+        &["--progress-stream"],
         &["--no-such-flag"],
     ];
     for flags in refused {

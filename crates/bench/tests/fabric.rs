@@ -128,6 +128,55 @@ fn checkpoint_resume_re_executes_zero_ranges() {
     }
 }
 
+/// `(done, total)` of the last `[sweep] … scenarios done/total …`
+/// reading in a run's stderr (readings are `\r`-refreshed).
+fn final_scenarios(stderr: &[u8]) -> (u64, u64) {
+    let text = String::from_utf8_lossy(stderr);
+    let reading = text
+        .rsplit(['\r', '\n'])
+        .find(|s| s.starts_with("[sweep]"))
+        .unwrap_or_else(|| panic!("no progress reading on stderr:\n{text}"));
+    let counts = reading
+        .split(" · ")
+        .find_map(|field| field.strip_prefix("scenarios "))
+        .and_then(|c| c.split_once('/'))
+        .unwrap_or_else(|| panic!("no scenario count in {reading:?}"));
+    (counts.0.parse().unwrap(), counts.1.parse().unwrap())
+}
+
+#[test]
+fn fabric_progress_reads_the_coordinator_to_completion() {
+    let direct = experiments(&["x1", "--quick", "--json", "--progress"]);
+    assert!(direct.status.success());
+    let (done, total) = final_scenarios(&direct.stderr);
+    assert!(total > 0);
+    assert_eq!(done, total, "the direct run's final reading is complete");
+    for extra in [&[][..], &["--fabric-kill-one"][..]] {
+        let mut args = vec![
+            "x1",
+            "--quick",
+            "--json",
+            "--fabric",
+            "workers=2",
+            "--progress",
+        ];
+        args.extend_from_slice(extra);
+        let out = experiments(&args);
+        assert!(
+            out.status.success(),
+            "experiments {args:?} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.stdout, direct.stdout, "{args:?} changed the output");
+        assert_eq!(
+            final_scenarios(&out.stderr),
+            (total, total),
+            "{args:?}: the driver's final reading must be complete and \
+             total what the direct run executes"
+        );
+    }
+}
+
 #[test]
 fn plan_previews_every_sweep_without_executing_any() {
     let out = stdout_of(&["x1", "--quick", "--plan"]);

@@ -21,6 +21,7 @@
 use crate::checkpoint::CheckpointRecord;
 use crate::error::FabricError;
 use rendezvous_runner::{SweepReport, WorkloadMeta};
+use rendezvous_telemetry::ProgressCounts;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A worker's identity on the fabric (its process id).
@@ -330,10 +331,26 @@ impl Coordinator {
         }
     }
 
-    /// True when every registered sweep's every chunk is done.
+    /// The run's progress so far: totals are the registered sweeps'
+    /// sizes and chunk counts, done counts the widths and number of
+    /// `Done` chunks. Resumed ranges are done from registration; a
+    /// requeued range counts once its result lands, and a duplicate
+    /// result never counts again — so the reading is complete exactly
+    /// when every registered chunk is.
     #[must_use]
-    pub fn all_complete(&self) -> bool {
-        self.sweeps.iter().all(|s| s.done == s.chunks.len())
+    pub fn progress(&self) -> ProgressCounts {
+        let mut counts = ProgressCounts::default();
+        for sweep in &self.sweeps {
+            counts.scenarios_total += to_u64(sweep.meta.size);
+            counts.pieces_total += to_u64(sweep.chunks.len());
+            counts.pieces_done += to_u64(sweep.done);
+            for chunk in &sweep.chunks {
+                if matches!(chunk.slot, Slot::Done(_)) {
+                    counts.scenarios_done += to_u64(chunk.hi - chunk.lo);
+                }
+            }
+        }
+        counts
     }
 
     /// Chunks leased or pending, across all sweeps.
@@ -458,6 +475,10 @@ pub fn merge_records(
         .collect()
 }
 
+fn to_u64(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
 /// Groups records by sweep index.
 fn by_sweep(records: Vec<CheckpointRecord>) -> BTreeMap<usize, Vec<CheckpointRecord>> {
     let mut grouped: BTreeMap<usize, Vec<CheckpointRecord>> = BTreeMap::new();
@@ -571,6 +592,102 @@ mod tests {
             Err(FabricError::Checkpoint(msg)) => msg,
             other => panic!("expected a checkpoint refusal, got {other:?}"),
         }
+    }
+
+    fn counts(done: u64, total: u64, pieces_done: u64, pieces: u64) -> ProgressCounts {
+        ProgressCounts {
+            scenarios_done: done,
+            scenarios_total: total,
+            pieces_done,
+            pieces_total: pieces,
+        }
+    }
+
+    /// Reads the coordinator's progress, checking that it is complete
+    /// exactly when no chunk is outstanding.
+    fn progress(c: &Coordinator) -> ProgressCounts {
+        let p = c.progress();
+        let complete = p.scenarios_done == p.scenarios_total && p.pieces_done == p.pieces_total;
+        assert_eq!(complete, c.outstanding() == 0, "{p:?}");
+        p
+    }
+
+    fn lease(
+        c: &mut Coordinator,
+        worker: WorkerId,
+        sweep: usize,
+        m: WorkloadMeta,
+    ) -> (usize, usize) {
+        match c.request(worker, sweep, m, 0).unwrap() {
+            LeaseReply::Range { lo, hi } => (lo, hi),
+            other => panic!("expected a lease, got {other:?}"),
+        }
+    }
+
+    fn land(c: &mut Coordinator, sweep: usize, lo: usize, hi: usize, m: WorkloadMeta) -> bool {
+        let report = record(sweep, lo, hi, m).report;
+        c.result(sweep, lo, hi, report).unwrap().is_some()
+    }
+
+    #[test]
+    fn progress_counts_each_range_once_when_its_result_lands() {
+        let cfg = CoordinatorConfig {
+            workers: 2,
+            chunk: 4,
+            lease_timeout_ms: 5_000,
+        };
+        let a = meta(1, 10);
+        let mut c = Coordinator::new(cfg, Vec::new());
+        assert_eq!(progress(&c), ProgressCounts::default());
+        // A fresh sweep reads 0/size over its chunks [0,4) [4,8) [8,10).
+        assert_eq!(lease(&mut c, 1, 0, a), (0, 4));
+        assert_eq!(progress(&c), counts(0, 10, 0, 3));
+        assert_eq!(lease(&mut c, 2, 0, a), (4, 8));
+        assert!(land(&mut c, 0, 0, 4, a));
+        assert_eq!(progress(&c), counts(4, 10, 1, 3));
+        // A duplicate result leaves the counts unchanged.
+        assert!(!land(&mut c, 0, 0, 4, a));
+        assert_eq!(progress(&c), counts(4, 10, 1, 3));
+        // Worker 2 dies holding [4, 8): requeued, not counted ...
+        assert_eq!(c.worker_lost(2), 1);
+        assert_eq!(progress(&c), counts(4, 10, 1, 3));
+        // ... until its re-leased result lands; the zombie copy is a
+        // duplicate.
+        assert_eq!(lease(&mut c, 1, 0, a), (4, 8));
+        assert_eq!(progress(&c), counts(4, 10, 1, 3));
+        assert!(land(&mut c, 0, 4, 8, a));
+        assert!(!land(&mut c, 0, 4, 8, a));
+        assert_eq!(progress(&c), counts(8, 10, 2, 3));
+        assert_eq!(lease(&mut c, 1, 0, a), (8, 10));
+        assert!(land(&mut c, 0, 8, 10, a));
+        assert_eq!(progress(&c), counts(10, 10, 3, 3));
+        assert_eq!(c.request(1, 0, a, 0).unwrap(), LeaseReply::Complete);
+        // Registering the next sweep raises the totals again.
+        let b = meta(2, 3);
+        assert_eq!(lease(&mut c, 1, 1, b), (0, 3));
+        assert_eq!(progress(&c), counts(10, 13, 3, 4));
+    }
+
+    #[test]
+    fn progress_reads_resumed_ranges_as_done_at_registration() {
+        let cfg = CoordinatorConfig {
+            workers: 1,
+            chunk: 4,
+            lease_timeout_ms: 5_000,
+        };
+        let (a, b) = (meta(1, 10), meta(2, 6));
+        let checkpoint = vec![record(0, 0, 5, a), record(1, 0, 6, b)];
+        let mut c = Coordinator::new(cfg, checkpoint);
+        // Sweep 0: [0,5) resumed, then [5,9) [9,10) pending.
+        assert_eq!(lease(&mut c, 1, 0, a), (5, 9));
+        assert_eq!(progress(&c), counts(5, 10, 1, 3));
+        assert!(land(&mut c, 0, 5, 9, a));
+        assert_eq!(lease(&mut c, 1, 0, a), (9, 10));
+        assert!(land(&mut c, 0, 9, 10, a));
+        assert_eq!(progress(&c), counts(10, 10, 3, 3));
+        // Sweep 1 is wholly resumed: complete the moment it registers.
+        assert_eq!(c.request(1, 1, b, 0).unwrap(), LeaseReply::Complete);
+        assert_eq!(progress(&c), counts(16, 16, 4, 4));
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use coordinator::{
 };
 pub use error::{FabricError, WireError};
 pub use protocol::{Message, PROTOCOL_VERSION};
-pub use server::{FabricOutcome, FabricServer, ServerConfig};
+pub use server::{FabricOutcome, FabricProgress, FabricServer, ServerConfig};
 pub use worker::{WorkerClient, HEARTBEAT_EVERY};

@@ -16,7 +16,7 @@ use crate::error::FabricError;
 use crate::protocol::{Message, PROTOCOL_VERSION};
 use crate::wire::{read_frame, write_frame};
 use rendezvous_runner::{SweepReport, WorkloadMeta};
-use rendezvous_telemetry::{Stopwatch, TelemetrySnapshot};
+use rendezvous_telemetry::{ProgressCounts, Stopwatch, TelemetrySnapshot};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,6 +122,13 @@ impl FabricServer {
         &self.addr
     }
 
+    /// A handle reading the run's live progress, for a sampling thread
+    /// to own; it stays readable after [`join`](Self::join).
+    #[must_use]
+    pub fn progress(&self) -> FabricProgress {
+        FabricProgress(Arc::clone(&self.shared))
+    }
+
     /// Stops serving and evaluates the run: every worker process should
     /// already have exited.
     ///
@@ -159,6 +166,22 @@ impl FabricServer {
             }
             Err(incomplete) => Err(error.unwrap_or(incomplete)),
         }
+    }
+}
+
+/// A cheap handle on a [`FabricServer`]'s coordinator that reads its
+/// [`Coordinator::progress`].
+pub struct FabricProgress(Arc<Shared>);
+
+impl FabricProgress {
+    /// The coordinator's current progress reading.
+    #[must_use]
+    pub fn counts(&self) -> ProgressCounts {
+        self.0
+            .coordinator
+            .lock()
+            .expect("fabric coordinator lock")
+            .progress()
     }
 }
 

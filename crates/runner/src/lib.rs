@@ -35,8 +35,8 @@
 //!   toward the lowest global index with exact-`u128` ratio comparison.
 //!
 //! Sweeps also scale **across processes**: [`Workload::shard`] cuts the
-//! index space into balanced contiguous shards, [`Runner::sweep_shard`]
-//! folds a shard's outcomes at their global indices, the resulting
+//! index space into balanced contiguous shards, [`Runner::sweep_range`]
+//! folds a shard's `(lo, hi)` range at its global indices, the resulting
 //! [`SweepReport`] serializes over any byte channel (serde), and
 //! [`SweepReport::merge`] is the associative fold that reassembles the
 //! exact single-process aggregates — worst-case witnesses and their

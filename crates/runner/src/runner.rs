@@ -161,30 +161,6 @@ impl Runner {
         self.sweep_range(workload, 0, workload.size(), executor)
     }
 
-    /// Sweeps shard `shard` of `of` of a [`Workload`] (see
-    /// [`Workload::shard`]), folding outcomes at their **global** unit
-    /// indices — so merging the per-shard reports with
-    /// [`SweepReport::merge`] reproduces [`Runner::sweep`] exactly,
-    /// witnesses and tie-breaks included.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runner::sweep`].
-    pub fn sweep_shard<W, E>(
-        &self,
-        workload: &W,
-        shard: usize,
-        of: usize,
-        executor: &E,
-    ) -> Result<SweepReport, RunnerError>
-    where
-        W: Workload + ?Sized,
-        E: PieceExecutor + ?Sized,
-    {
-        let (lo, hi) = workload.shard(shard, of);
-        self.sweep_range(workload, lo, hi, executor)
-    }
-
     /// Sweeps the global index range `[lo, hi)` of a [`Workload`].
     ///
     /// Parallelism adapts to the workload's shape: a multi-piece range

@@ -12,7 +12,7 @@ use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::spec_explorer;
 use rendezvous_graph::{ErdosRenyiSpec, GraphSpec, RegularSpec, RingSpec, SeededSpec};
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, Runner, SweepReport,
+    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, Runner, SweepReport, Workload,
 };
 use std::sync::Arc;
 
@@ -148,8 +148,9 @@ proptest! {
         let direct = Runner::sequential().sweep(&grid, &executor).expect("sweep");
         let mut merged = SweepReport::default();
         for i in 0..m {
+            let (lo, hi) = grid.shard(i, m);
             let shard = Runner::sequential()
-                .sweep_shard(&grid, i, m, &executor)
+                .sweep_range(&grid, lo, hi, &executor)
                 .expect("shard sweep");
             merged = merged.merge(&shard);
         }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::OrientedRingExplorer;
 use rendezvous_graph::generators;
-use rendezvous_runner::{FleetRule, GatheringExecutor, Grid, Runner, SweepReport};
+use rendezvous_runner::{FleetRule, GatheringExecutor, Grid, Runner, SweepReport, Workload};
 use std::sync::Arc;
 
 /// A fleet grid on an `n`-ring under `Fast` with label space `l`: fleet
@@ -83,8 +83,9 @@ proptest! {
         for m in [2usize, 3, 7] {
             let mut merged = SweepReport::default();
             for i in 0..m {
+                let (lo, hi) = grid.shard(i, m);
                 let report = Runner::sequential()
-                    .sweep_shard(&grid, i, m, &executor)
+                    .sweep_range(&grid, lo, hi, &executor)
                     .unwrap();
                 // Cross the "process boundary".
                 let json = serde_json::to_string(&report).unwrap();

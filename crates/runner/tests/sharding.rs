@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::OrientedRingExplorer;
 use rendezvous_graph::generators;
-use rendezvous_runner::{AlgorithmExecutor, Bounded, Bounds, Grid, Runner, SweepReport};
+use rendezvous_runner::{AlgorithmExecutor, Bounded, Bounds, Grid, Runner, SweepReport, Workload};
 use std::sync::Arc;
 
 fn sweep_setup(n: usize, l: u64, fast: bool) -> (Box<dyn RendezvousAlgorithm>, Option<Bounds>) {
@@ -67,8 +67,9 @@ proptest! {
                     // own schedule cache; determinism must not depend on a
                     // shared one.
                     let executor = AlgorithmExecutor::new(alg.as_ref());
+                    let (lo, hi) = grid.shard(i, m);
                     let report = Runner::sequential()
-                        .sweep_shard(&grid, i, m, &Bounded::new(&executor, bounds))
+                        .sweep_range(&grid, lo, hi, &Bounded::new(&executor, bounds))
                         .expect("valid configurations");
                     // Cross the "process boundary".
                     let json = serde_json::to_string(&report).expect("serializable");

@@ -102,8 +102,9 @@ proptest! {
             let mut reversed = SweepReport::default();
             let shard_reports: Vec<SweepReport> = (0..m)
                 .map(|i| {
+                    let (lo, hi) = topo.shard(i, m);
                     let report = Runner::sequential()
-                        .sweep_shard(&topo, i, m, &exec)
+                        .sweep_range(&topo, lo, hi, &exec)
                         .expect("shard sweep");
                     // Cross the "process boundary".
                     let json = serde_json::to_string(&report).expect("serializable");

@@ -4,7 +4,7 @@
 //! A long sweep was a black box: no progress, no ETA, no cache-hit or
 //! batch-fallback rates. This crate adds those signals under one hard
 //! invariant: **telemetry must be invisible to the byte-identity
-//! discipline**. Attaching a [`Metrics`] sink, streaming progress, or
+//! discipline**. Attaching a [`Metrics`] sink, drawing progress, or
 //! emitting a sidecar may never change a `SweepReport`, a markdown
 //! table, or a shard-ledger byte — CI diffs telemetry-on against
 //! telemetry-off output to prove it.
@@ -17,9 +17,9 @@
 //!   shard layout (the sums are sharding-invariant), per-process counts
 //!   describe one execution plan (cache hits, pieces).
 //! * [`ProgressReporter`] — a stderr sampling thread rendering
-//!   pieces-done / scenarios-per-second / ETA, with a machine-readable
-//!   stream mode (`@progress` lines) and a [`ProgressHub`] aggregating
-//!   child processes (fabric workers).
+//!   pieces-done / scenarios-per-second / ETA from any source of
+//!   [`ProgressCounts`]: a run's own [`Progress`] tracker, or a fabric
+//!   driver's coordinator.
 //! * [`TelemetrySnapshot`] — the `TELEMETRY.json` sidecar schema. Exact
 //!   counter sections render from `BTreeMap`s (sorted keys, byte-stable
 //!   across reruns and shard merges); every wall-clock-derived field is
@@ -40,8 +40,5 @@ mod progress;
 mod snapshot;
 
 pub use metrics::{Counter, HistogramHandle, Metrics, Scope, Stopwatch};
-pub use progress::{
-    parse_progress_line, progress_line, Progress, ProgressCounts, ProgressHub, ProgressReporter,
-    StderrPump, PROGRESS_PREFIX,
-};
+pub use progress::{Progress, ProgressCounts, ProgressReporter};
 pub use snapshot::{TelemetrySnapshot, TimingSection, QUARANTINE, SCHEMA};

@@ -1,20 +1,14 @@
-//! Live progress: shared counters, the stderr reporter, and the child
-//! progress protocol.
+//! Live progress: shared counters and the stderr reporter.
 //!
 //! Everything here is display-only — progress never feeds a fold, a
-//! report, or a ledger, which is why the sampler thread and the child
-//! pipe drains below are sanctioned (and annotated) departures from
-//! the Runner's order-deterministic parallelism.
-//!
-//! The child protocol is line-oriented over stderr: a child process
-//! (a fabric worker) periodically emits `@progress {json}`; every other
-//! stderr line is buffered verbatim as diagnostics. A child's final
-//! telemetry snapshot travels elsewhere (the fabric's `Finished`
-//! frame), and stdout stays untouched.
+//! report, or a ledger, which is why the sampler thread below is a
+//! sanctioned (and annotated) departure from the Runner's
+//! order-deterministic parallelism. The reporter samples any source of
+//! [`ProgressCounts`]: a run's own [`Metrics`](crate::Metrics) sink, or
+//! — for a fabric driver — the coordinator, which already knows every
+//! registered sweep and every completed range.
 
-use crate::metrics::{Metrics, Stopwatch};
-use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, Read};
+use crate::metrics::Stopwatch;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,9 +57,8 @@ fn to_u64(n: usize) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
-/// A point-in-time progress reading — the payload of `@progress`
-/// protocol lines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A point-in-time progress reading.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgressCounts {
     /// Scenarios executed so far.
     pub scenarios_done: u64,
@@ -75,87 +68,6 @@ pub struct ProgressCounts {
     pub pieces_done: u64,
     /// Work pieces planned.
     pub pieces_total: u64,
-}
-
-impl ProgressCounts {
-    /// Field-wise saturating sum — how the hub totals child slots.
-    #[must_use]
-    pub fn plus(&self, other: &ProgressCounts) -> ProgressCounts {
-        ProgressCounts {
-            scenarios_done: self.scenarios_done.saturating_add(other.scenarios_done),
-            scenarios_total: self.scenarios_total.saturating_add(other.scenarios_total),
-            pieces_done: self.pieces_done.saturating_add(other.pieces_done),
-            pieces_total: self.pieces_total.saturating_add(other.pieces_total),
-        }
-    }
-}
-
-/// Prefix of a child's periodic progress line.
-pub const PROGRESS_PREFIX: &str = "@progress ";
-
-/// Renders a `@progress` protocol line (no trailing newline).
-#[must_use]
-pub fn progress_line(counts: &ProgressCounts) -> String {
-    let payload = serde_json::to_string(counts).expect("progress counts serialize");
-    format!("{PROGRESS_PREFIX}{payload}")
-}
-
-/// Parses one stderr line as a `@progress` reading; `None` means "not
-/// protocol" (including a malformed payload) — the caller keeps such
-/// lines as diagnostics.
-#[must_use]
-pub fn parse_progress_line(line: &str) -> Option<ProgressCounts> {
-    serde_json::from_str(line.strip_prefix(PROGRESS_PREFIX)?).ok()
-}
-
-/// Aggregates per-child progress for a driver process: each child's
-/// pump stores its latest reading in its slot; the parent reporter
-/// samples the sum.
-#[derive(Debug)]
-pub struct ProgressHub {
-    slots: Vec<Progress>,
-}
-
-impl ProgressHub {
-    /// A hub with one slot per child.
-    #[must_use]
-    pub fn new(children: usize) -> Arc<ProgressHub> {
-        Arc::new(ProgressHub {
-            slots: (0..children).map(|_| Progress::default()).collect(),
-        })
-    }
-
-    /// Overwrites child `child`'s slot with its latest reading.
-    pub fn update(&self, child: usize, counts: &ProgressCounts) {
-        if let Some(slot) = self.slots.get(child) {
-            slot.scenarios_done
-                .store(counts.scenarios_done, Ordering::Relaxed);
-            slot.scenarios_total
-                .store(counts.scenarios_total, Ordering::Relaxed);
-            slot.pieces_done
-                .store(counts.pieces_done, Ordering::Relaxed);
-            slot.pieces_total
-                .store(counts.pieces_total, Ordering::Relaxed);
-        }
-    }
-
-    /// The sum over all child slots.
-    #[must_use]
-    pub fn total(&self) -> ProgressCounts {
-        self.slots
-            .iter()
-            .map(Progress::counts)
-            .fold(ProgressCounts::default(), |acc, c| acc.plus(&c))
-    }
-}
-
-/// How the reporter writes to stderr.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    /// `\r`-refreshed human line with rate and ETA.
-    Human,
-    /// Machine-readable `@progress` lines for a parent driver.
-    Stream,
 }
 
 /// The sampling interval — coarse enough to be invisible in cost,
@@ -171,38 +83,18 @@ pub struct ProgressReporter {
 }
 
 impl ProgressReporter {
-    /// Human-readable reporter sampling a [`Metrics`] sink.
+    /// Starts sampling `source` and drawing the `\r`-refreshed human
+    /// line with rate and ETA.
     #[must_use]
-    pub fn human(metrics: &Arc<Metrics>) -> ProgressReporter {
-        let m = Arc::clone(metrics);
-        ProgressReporter::spawn(Mode::Human, move || m.progress().counts())
-    }
-
-    /// Protocol-line reporter sampling a [`Metrics`] sink — what a
-    /// child runs so its parent can aggregate.
-    #[must_use]
-    pub fn stream(metrics: &Arc<Metrics>) -> ProgressReporter {
-        let m = Arc::clone(metrics);
-        ProgressReporter::spawn(Mode::Stream, move || m.progress().counts())
-    }
-
-    /// Human-readable reporter sampling a [`ProgressHub`] — what a
-    /// driver runs over its children's aggregated slots.
-    #[must_use]
-    pub fn aggregate(hub: &Arc<ProgressHub>) -> ProgressReporter {
-        let h = Arc::clone(hub);
-        ProgressReporter::spawn(Mode::Human, move || h.total())
-    }
-
-    fn spawn(mode: Mode, source: impl Fn() -> ProgressCounts + Send + 'static) -> ProgressReporter {
+    pub fn new(source: impl Fn() -> ProgressCounts + Send + 'static) -> ProgressReporter {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let watch = Stopwatch::start();
-        // analyze: allow(d5) — display-only stderr sampler: reads atomics,
+        // analyze: allow(d5) — display-only stderr sampler: reads counters,
         // writes no fold, joins before the process emits exact output
         let thread = std::thread::spawn(move || loop {
             let finished = flag.load(Ordering::Relaxed);
-            emit(mode, &watch, &source(), finished);
+            emit(&watch, &source(), finished);
             if finished {
                 break;
             }
@@ -236,74 +128,26 @@ impl Drop for ProgressReporter {
 /// One reporter tick. All arithmetic is exact integer math — rate in
 /// scenarios/second, ETA in deciseconds — so the display layer obeys
 /// the same no-float rule as the folds it watches.
-fn emit(mode: Mode, watch: &Stopwatch, counts: &ProgressCounts, finished: bool) {
-    match mode {
-        Mode::Stream => eprintln!("{}", progress_line(counts)),
-        Mode::Human => {
-            let ms = u128::from(watch.elapsed_ms().max(1));
-            let rate = u128::from(counts.scenarios_done) * 1000 / ms;
-            let remaining = counts.scenarios_total.saturating_sub(counts.scenarios_done);
-            let eta_ds = if counts.scenarios_done > 0 && remaining > 0 {
-                u128::from(remaining) * ms / u128::from(counts.scenarios_done) / 100
-            } else {
-                0
-            };
-            eprint!(
-                "\r[sweep] pieces {}/{} · scenarios {}/{} · {rate}/s · ETA {}.{}s   ",
-                counts.pieces_done,
-                counts.pieces_total,
-                counts.scenarios_done,
-                counts.scenarios_total,
-                eta_ds / 10,
-                eta_ds % 10
-            );
-            if finished {
-                eprintln!();
-            }
-        }
-    }
-}
-
-/// Drains one child's stderr on a reader thread: progress lines update
-/// the hub, everything else is buffered as diagnostics and returned at
-/// [`StderrPump::finish`].
-pub struct StderrPump {
-    thread: JoinHandle<String>,
-}
-
-impl StderrPump {
-    /// Starts draining `reader` (child `child`'s stderr) into `hub`.
-    #[must_use]
-    pub fn pump<R: Read + Send + 'static>(
-        reader: R,
-        hub: &Arc<ProgressHub>,
-        child: usize,
-    ) -> StderrPump {
-        let hub = Arc::clone(hub);
-        // analyze: allow(d5) — pipe drain, not a fold: one reader per child
-        // keeps the child from blocking on a full stderr; its buffered
-        // diagnostics are joined back in child-index order by the caller
-        let thread = std::thread::spawn(move || {
-            let mut diagnostics = String::new();
-            for line in BufReader::new(reader).lines() {
-                let Ok(line) = line else { break };
-                match parse_progress_line(&line) {
-                    Some(counts) => hub.update(child, &counts),
-                    None => {
-                        diagnostics.push_str(&line);
-                        diagnostics.push('\n');
-                    }
-                }
-            }
-            diagnostics
-        });
-        StderrPump { thread }
-    }
-
-    /// Joins the drain: the child's non-protocol stderr.
-    #[must_use]
-    pub fn finish(self) -> String {
-        self.thread.join().unwrap_or_default()
+fn emit(watch: &Stopwatch, counts: &ProgressCounts, finished: bool) {
+    let ms = u128::from(watch.elapsed_ms().max(1));
+    let rate = u128::from(counts.scenarios_done) * 1000 / ms;
+    let remaining = counts.scenarios_total.saturating_sub(counts.scenarios_done);
+    let eta_ds = if counts.scenarios_done > 0 && remaining > 0 {
+        u128::from(remaining) * ms / u128::from(counts.scenarios_done) / 100
+    } else {
+        0
+    };
+    eprint!(
+        "\r[sweep] pieces {}/{} · scenarios {}/{} · {rate}/s · ETA {}.{}s   ",
+        counts.pieces_done,
+        counts.pieces_total,
+        counts.scenarios_done,
+        counts.scenarios_total,
+        eta_ds / 10,
+        eta_ds % 10
+    );
+    if finished {
+        eprintln!();
     }
 }
 
@@ -326,83 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn protocol_lines_round_trip() {
-        let counts = ProgressCounts {
-            scenarios_done: 3,
-            scenarios_total: 9,
-            pieces_done: 1,
-            pieces_total: 2,
-        };
-        assert_eq!(parse_progress_line(&progress_line(&counts)), Some(counts));
-        assert!(parse_progress_line("plain diagnostic output").is_none());
-        assert!(parse_progress_line("@progress not-json").is_none());
-        // The retired final-snapshot line is plain diagnostics now.
-        assert!(parse_progress_line("@telemetry {}").is_none());
-    }
-
-    #[test]
-    fn hub_overwrites_slots_and_totals() {
-        let hub = ProgressHub::new(2);
-        hub.update(
-            0,
-            &ProgressCounts {
-                scenarios_done: 5,
-                scenarios_total: 10,
-                pieces_done: 1,
-                pieces_total: 2,
-            },
-        );
-        hub.update(
-            1,
-            &ProgressCounts {
-                scenarios_done: 7,
-                scenarios_total: 10,
-                pieces_done: 2,
-                pieces_total: 2,
-            },
-        );
-        // A later reading overwrites, not accumulates.
-        hub.update(
-            1,
-            &ProgressCounts {
-                scenarios_done: 8,
-                scenarios_total: 10,
-                pieces_done: 2,
-                pieces_total: 2,
-            },
-        );
-        let total = hub.total();
-        assert_eq!(total.scenarios_done, 13);
-        assert_eq!(total.scenarios_total, 20);
-        assert_eq!(total.pieces_done, 3);
-        // Out-of-range slots are ignored, not a panic.
-        hub.update(9, &ProgressCounts::default());
-    }
-
-    #[test]
-    fn pump_splits_protocol_from_diagnostics() {
-        let hub = ProgressHub::new(1);
-        let counts = ProgressCounts {
-            scenarios_done: 4,
-            scenarios_total: 8,
-            pieces_done: 1,
-            pieces_total: 2,
-        };
-        let mut child_stderr = String::new();
-        child_stderr.push_str("warming up\n");
-        child_stderr.push_str(&progress_line(&counts));
-        child_stderr.push('\n');
-        child_stderr.push_str("done\n");
-        let pump = StderrPump::pump(std::io::Cursor::new(child_stderr.into_bytes()), &hub, 0);
-        assert_eq!(pump.finish(), "warming up\ndone\n");
-        assert_eq!(hub.total().scenarios_done, 4);
-    }
-
-    #[test]
     fn reporter_finishes_cleanly() {
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(crate::Metrics::new());
         metrics.progress().add_planned(10, 1);
-        let reporter = ProgressReporter::stream(&metrics);
+        let m = Arc::clone(&metrics);
+        let reporter = ProgressReporter::new(move || m.progress().counts());
         metrics.progress().piece_done(10);
         reporter.finish();
     }
