@@ -9,7 +9,7 @@ use std::hint::black_box;
 fn bench(c: &mut Criterion) {
     c.bench_function("x6/progress_n12", |b| {
         b.iter(|| {
-            let rows = x6_lb_cost::run(12, &[4, 8], &Session::direct(Runner::with_threads(2)));
+            let rows = x6_lb_cost::run(12, &[4, 8], &mut Session::direct(Runner::with_threads(2)));
             for r in &rows {
                 assert!(r.witnesses_hold);
             }

@@ -941,7 +941,7 @@ fn x5(cfg: &mut Config) {
     } else {
         (12, vec![4, 6, 8, 10, 12, 16])
     };
-    let rows = x5_lb_time::run(n, &ls, &cfg.session);
+    let rows = x5_lb_time::run(n, &ls, &mut cfg.session);
     emit(cfg, "x5", &rows, x5_lb_time::render(&rows));
 }
 
@@ -955,7 +955,7 @@ fn x6(cfg: &mut Config) {
     } else {
         (12, vec![4, 8, 16, 32])
     };
-    let rows = x6_lb_cost::run(n, &ls, &cfg.session);
+    let rows = x6_lb_cost::run(n, &ls, &mut cfg.session);
     emit(cfg, "x6", &rows, x6_lb_cost::render(&rows));
 }
 

@@ -1,13 +1,14 @@
 //! Shared plumbing for the experiments: standard setups, adversarial
 //! sweeps through the shared [`rendezvous_runner`] engine, and table
-//! rendering.
+//! rendering. Every sweep goes through [`Session::sweep`].
 
 use crate::engine::EngineExecutor;
 use crate::session::Session;
 use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_explore::{Explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, PortLabeledGraph};
-use rendezvous_runner::{Bounds, Grid, GroupStats, PieceExecutor, SweepReport, Workload};
+use rendezvous_lower_bounds::{trim_grid, TrimmedAlgorithm};
+use rendezvous_runner::{Bounds, Grid, GroupStats};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -50,37 +51,9 @@ pub fn adversarial_grid(
         .executed_by(algorithm)
 }
 
-/// Sweeps any [`Workload`] through a [`PieceExecutor`] under the
-/// session's [`ExecPlan`](crate::session::ExecPlan) (see
-/// [`Session::sweep`]): in full, as a dry-run line, as one shard's
-/// checkpoint record, as a replayed merged record, or as fabric
-/// leases — transparently to callers, with the session's store in front.
-/// This is the **single** workload→report path of the experiments
-/// binary: the pair grids of X1–X8 ([`sweep_worst`]), the gathering
-/// fleet grids of X9, and the topology sweeps of X10/X11 all run through
-/// it, so every execution mode rides one code path for every experiment.
-///
-/// # Panics
-///
-/// Panics on any execution error, on an empty workload (`context` names
-/// the sweep in the message) and — in replay mode — when the merged
-/// ledger's next record disagrees with this run's workload fingerprint.
-pub fn sweep_recorded<W, E>(
-    context: &str,
-    workload: &W,
-    executor: &E,
-    session: &mut Session,
-) -> SweepReport
-where
-    W: Workload + ?Sized,
-    E: PieceExecutor + ?Sized,
-{
-    session.sweep(context, workload, executor).report
-}
-
 /// Sweeps the standard adversarial grid through the session and returns
 /// the full aggregate statistics, checked against the algorithm's paper
-/// bounds. The session's plan is honored via [`sweep_recorded`].
+/// bounds. The session's plan is honored via [`Session::sweep`].
 ///
 /// # Panics
 ///
@@ -102,8 +75,46 @@ pub fn sweep_worst(
     });
     let metrics = session.metrics().map(Arc::as_ref);
     let executor = EngineExecutor::new(session.engine, algorithm, bounds, metrics);
-    let report = sweep_recorded(algorithm.name(), &grid, &executor, session);
+    let report = session.sweep(algorithm.name(), &grid, &executor).report;
     check_failures(algorithm, report.solo())
+}
+
+/// Runs procedure `Trim` for a lower-bound audit as one sweep: the
+/// algorithm's [`trim_grid`] (one fold group per label pair) through
+/// [`Session::sweep`] on the session's engine, so the audit's pair
+/// executions are previewed, sharded, leased, cached and counted like
+/// every other sweep. Returns the trimming data when the session's
+/// sweeps return full reports, and `None` when they do not — a dry
+/// run, a shard, a fabric worker — so an audit never reads a partial
+/// fold: this is the one place the audits ask
+/// [`Session::emits_rows`].
+///
+/// # Panics
+///
+/// Panics if `algorithm` does not run on an oriented ring or some trim
+/// execution fails to meet within `horizon`.
+#[must_use]
+pub fn trim_recorded(
+    algorithm: &dyn RendezvousAlgorithm,
+    horizon: u64,
+    session: &mut Session,
+) -> Option<TrimmedAlgorithm> {
+    let grid = trim_grid(algorithm, horizon).expect("the audits run on oriented rings");
+    let context = format!(
+        "trim {} L={}",
+        algorithm.name(),
+        algorithm.label_space().size()
+    );
+    let metrics = session.metrics().map(Arc::as_ref);
+    let executor = EngineExecutor::new(session.engine, algorithm, None, metrics);
+    let report = session.sweep(&context, &grid, &executor).report;
+    if !session.emits_rows() {
+        return None;
+    }
+    Some(
+        TrimmedAlgorithm::from_sweep(algorithm, horizon, &report)
+            .unwrap_or_else(|e| panic!("{context} failed: {e}")),
+    )
 }
 
 /// Asserts the paper's always-meets guarantee over (possibly partial)

@@ -1,11 +1,12 @@
 //! The execution plan of one experiments run, passed explicitly.
 //!
-//! Every recorded sweep ([`common::sweep_recorded`](crate::common::sweep_recorded))
-//! runs through one [`Session`]: the runner (with its optional
-//! telemetry sink), the engine, the optional result store, and the
-//! [`ExecPlan`] that decides what the sweep does — execute in full,
-//! preview, execute one shard, replay a merged ledger, or pull fabric
-//! leases. The experiments binary parses its command line into exactly
+//! Every sweep of the experiments — pair grids, the lower-bound audits'
+//! trims, gathering fleets, topology sweeps — runs through
+//! [`Session::sweep`], the single workload→report path: the runner
+//! (with its optional telemetry sink), the engine, the optional result
+//! store, and the [`ExecPlan`] that decides what the sweep does —
+//! execute in full, preview, execute one shard, replay a merged ledger,
+//! or pull fabric leases. The experiments binary parses its command line into exactly
 //! one plan; library callers, benches and tests use
 //! [`Session::direct`]. Nothing here is process-global, so sessions
 //! with different engines, stores or plans can run side by side in one

@@ -252,8 +252,7 @@ pub fn sweep_spec(
     Some(session.sweep(context, &topo, &exec))
 }
 
-/// Sweeps one algorithm over the topo grid through the shared
-/// [`common::sweep_recorded`](crate::common::sweep_recorded) path,
+/// Sweeps one algorithm over the topo grid through [`Session::sweep`],
 /// asserting the paper's bounds held everywhere.
 ///
 /// # Panics
@@ -267,7 +266,7 @@ fn sweep_topo_worst(
     exec: &AlgoTopoExecutor,
     session: &mut Session,
 ) -> SweepReport {
-    let report = crate::common::sweep_recorded(context, topo, exec, session);
+    let report = session.sweep(context, topo, exec).report;
     assert!(
         report.clean(),
         "paper bounds broken on a sampled topology: {} failures, {} violations",

@@ -19,7 +19,7 @@
 //! as fabric checkpoint lines, `--merge-shards` folds them, and the
 //! merged run is byte-identical to a direct one (CI-checked).
 
-use crate::common::{markdown_table, sweep_recorded};
+use crate::common::markdown_table;
 use crate::session::Session;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
@@ -208,12 +208,13 @@ pub fn run(
 ) -> Report {
     let space = LabelSpace::new(l).expect("l >= 2");
     let (topo, contexts) = build_gathering_topo_grid(specs, l, ks, phases, cap);
-    let stats = sweep_recorded(
-        "x11 gathering",
-        &topo,
-        &GatheringTopoExecutor { space, contexts },
-        session,
-    );
+    let stats = session
+        .sweep(
+            "x11 gathering",
+            &topo,
+            &GatheringTopoExecutor { space, contexts },
+        )
+        .report;
     assert!(
         stats.clean(),
         "merge-and-restart bound broken on a sampled topology: {} failures, {} violations",

@@ -6,11 +6,16 @@
 //! so `φ = 0`) and report, per `L`: the Fact 3.8 witness
 //! `(⌊L/2⌋−1)(F−3φ)/2`, the measured final chain time, and the paper's
 //! matching upper bound — the time really does grow linearly in `L`.
+//!
+//! Each `L`'s trim is one recorded sweep ([`trim_recorded`]), so the
+//! audit's pair executions ride every execution mode — preview, shards,
+//! fabric leases, the store, telemetry — like any other sweep; the
+//! tournament then runs on the trimmed data.
 
-use crate::common::ring_setup;
+use crate::common::{ring_setup, trim_recorded};
 use crate::session::Session;
 use rendezvous_core::{CheapSimultaneous, LabelSpace, RendezvousAlgorithm};
-use rendezvous_lower_bounds::eager_chain_audit;
+use rendezvous_lower_bounds::eager_chain_audit_of;
 use serde::Serialize;
 
 /// One row of the X5 table.
@@ -36,23 +41,25 @@ pub struct Row {
     pub upper_bound: u64,
 }
 
-/// Runs the audit for each `L` on an `n`-ring. A session that prints no
-/// rows (a dry run, a shard, a fabric worker) skips the audits: they
-/// record no sweeps, so sweep positions are unaffected.
+/// Runs the audit for each `L` on an `n`-ring, one trim sweep per `L`.
+/// A session whose sweeps return no full reports (a dry run, a shard, a
+/// fabric worker) records the sweeps and returns no rows.
 ///
 /// # Panics
 ///
 /// Panics if the audit fails (it cannot, for `CheapSimultaneous`).
 #[must_use]
-pub fn run(n: usize, ls: &[u64], session: &Session) -> Vec<Row> {
-    if !session.emits_rows() {
-        return Vec::new();
-    }
-    session.runner.map(ls.to_vec(), |_, l| {
+pub fn run(n: usize, ls: &[u64], session: &mut Session) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for &l in ls {
         let (g, ex) = ring_setup(n);
         let alg = CheapSimultaneous::new(g, ex, LabelSpace::new(l).expect("l >= 2"));
-        let report = eager_chain_audit(&alg, 20 * alg.time_bound()).expect("audit must succeed");
-        Row {
+        let horizon = 20 * alg.time_bound();
+        let Some(trimmed) = trim_recorded(&alg, horizon, session) else {
+            continue;
+        };
+        let report = eager_chain_audit_of(&alg, horizon, trimmed).expect("audit must succeed");
+        rows.push(Row {
             n,
             l,
             f: report.f,
@@ -62,8 +69,9 @@ pub fn run(n: usize, ls: &[u64], session: &Session) -> Vec<Row> {
             chain_time: report.chain_final_time(),
             increasing: report.strictly_increasing,
             upper_bound: alg.time_bound(),
-        }
-    })
+        });
+    }
+    rows
 }
 
 /// Renders the table.
@@ -103,23 +111,49 @@ pub fn render(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use crate::session::ExecPlan;
-    use rendezvous_runner::Runner;
+    use rendezvous_runner::{Runner, Workload};
 
-    /// `--plan`, `--shard` and fabric workers print no rows, so neither
-    /// lower-bound audit may run in them.
+    /// `--plan`, `--shard` and fabric workers see partial folds or none,
+    /// so they print no rows — but they still walk the audits' trim
+    /// sweeps, one per `L`, keeping sweep positions aligned with a
+    /// direct run's. A shard records each sweep's checkpoint.
     #[test]
-    fn audits_are_skipped_in_sessions_that_print_no_rows() {
-        for plan in [ExecPlan::DryRun, ExecPlan::shard(0, 2)] {
-            let session = Session::new(Runner::sequential(), plan);
-            assert!(!session.emits_rows());
-            assert!(run(12, &[4], &session).is_empty());
-            assert!(crate::x6_lb_cost::run(12, &[4], &session).is_empty());
+    fn audits_record_their_trims_in_sessions_that_print_no_rows() {
+        let mut dry = Session::new(Runner::sequential(), ExecPlan::DryRun);
+        assert!(run(12, &[4, 6], &mut dry).is_empty());
+        assert!(crate::x6_lb_cost::run(12, &[4], &mut dry).is_empty());
+
+        let mut shard = Session::new(Runner::sequential(), ExecPlan::shard(0, 2));
+        assert!(!shard.emits_rows());
+        assert!(run(12, &[4, 6], &mut shard).is_empty());
+        assert!(crate::x6_lb_cost::run(12, &[4], &mut shard).is_empty());
+        let records = shard.finish().expect("a shard plan returns its records");
+        let (g, ex) = ring_setup(12);
+        let space = |l| LabelSpace::new(l).unwrap();
+        let cheap = |l| CheapSimultaneous::new(g.clone(), ex.clone(), space(l));
+        let fast = rendezvous_core::Fast::new(g.clone(), ex.clone(), space(4));
+        let grids = [
+            rendezvous_lower_bounds::trim_grid(&cheap(4), 20 * cheap(4).time_bound()),
+            rendezvous_lower_bounds::trim_grid(&cheap(6), 20 * cheap(6).time_bound()),
+            rendezvous_lower_bounds::trim_grid(&fast, 4 * fast.time_bound()),
+        ];
+        assert_eq!(records.len(), grids.len());
+        for (i, (record, grid)) in records.iter().zip(grids).enumerate() {
+            let grid = grid.unwrap();
+            assert_eq!(record.sweep, i);
+            assert_eq!(record.meta, grid.meta());
+            assert_eq!((record.lo, record.hi), grid.shard(0, 2));
+            assert_eq!(record.report.executed(), record.hi - record.lo);
         }
     }
 
     #[test]
     fn x5_witness_grows_linearly_and_holds() {
-        let rows = run(12, &[4, 8, 12], &Session::direct(Runner::with_threads(3)));
+        let rows = run(
+            12,
+            &[4, 8, 12],
+            &mut Session::direct(Runner::with_threads(3)),
+        );
         for r in &rows {
             assert_eq!(r.phi, 0);
             assert!(r.increasing, "Fact 3.7 violated at L={}", r.l);

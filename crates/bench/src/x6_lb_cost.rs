@@ -7,11 +7,15 @@
 //! group and the induced cost witness `k · n/6`. The expected shape is the
 //! witness growing with `log L` while `Fast`'s time bound also grows with
 //! `log L` — you cannot be fast and cheap at once.
+//!
+//! As in [`x5_lb_time`](crate::x5_lb_time), each `L`'s trim is one
+//! recorded sweep ([`trim_recorded`]) and the sector analysis runs on
+//! the trimmed data.
 
-use crate::common::ring_setup;
+use crate::common::{ring_setup, trim_recorded};
 use crate::session::Session;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
-use rendezvous_lower_bounds::progress_audit;
+use rendezvous_lower_bounds::progress_audit_of;
 use serde::Serialize;
 
 /// One row of the X6 table.
@@ -39,8 +43,9 @@ pub struct Row {
     pub measured_cost: u64,
 }
 
-/// Runs the audit for each `L` on an `n`-ring (`6 | n`). A session that
-/// prints no rows skips the audits, as in [`x5_lb_time::run`].
+/// Runs the audit for each `L` on an `n`-ring (`6 | n`), one trim sweep
+/// per `L`; a session whose sweeps return no full reports records the
+/// sweeps and returns no rows, as in [`x5_lb_time::run`].
 ///
 /// [`x5_lb_time::run`]: crate::x5_lb_time::run
 ///
@@ -48,16 +53,17 @@ pub struct Row {
 ///
 /// Panics if the audit fails (wrong ring size or a non-meeting execution).
 #[must_use]
-pub fn run(n: usize, ls: &[u64], session: &Session) -> Vec<Row> {
+pub fn run(n: usize, ls: &[u64], session: &mut Session) -> Vec<Row> {
     assert_eq!(n % 6, 0, "X6 needs 6 | n");
-    if !session.emits_rows() {
-        return Vec::new();
-    }
-    session.runner.map(ls.to_vec(), |_, l| {
+    let mut rows = Vec::new();
+    for &l in ls {
         let (g, ex) = ring_setup(n);
         let alg = Fast::new(g, ex, LabelSpace::new(l).expect("l >= 2"));
-        let report = progress_audit(&alg, 4 * alg.time_bound()).expect("audit must succeed");
-        Row {
+        let Some(trimmed) = trim_recorded(&alg, 4 * alg.time_bound(), session) else {
+            continue;
+        };
+        let report = progress_audit_of(&alg, trimmed).expect("audit must succeed");
+        rows.push(Row {
             n,
             l,
             log2_l: l.next_power_of_two().trailing_zeros(),
@@ -68,8 +74,9 @@ pub fn run(n: usize, ls: &[u64], session: &Session) -> Vec<Row> {
             cost_witness: report.cost_witness,
             witnesses_hold: report.witnesses_hold,
             measured_cost: report.trimmed.max_cost,
-        }
-    })
+        });
+    }
+    rows
 }
 
 /// Renders the table.
@@ -114,7 +121,7 @@ mod tests {
 
     #[test]
     fn x6_witnesses_hold_and_cost_tracks_log_l() {
-        let rows = run(12, &[4, 16], &Session::direct(Runner::with_threads(2)));
+        let rows = run(12, &[4, 16], &mut Session::direct(Runner::with_threads(2)));
         for r in &rows {
             assert!(r.witnesses_hold, "Fact 3.17 violated at L={}", r.l);
             assert!(r.max_nonzero >= 1);

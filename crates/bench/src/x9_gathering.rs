@@ -15,7 +15,7 @@
 //! gathering sweeps shard, merge and replay through the unified ledger
 //! exactly like the adversarial pair sweeps of X1–X8.
 
-use crate::common::{ring_setup, sweep_recorded};
+use crate::common::ring_setup;
 use crate::session::Session;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_runner::{FleetRule, GatheringExecutor, Grid, GroupStats};
@@ -95,7 +95,10 @@ pub fn run(n: usize, l: u64, ks: &[usize], session: &mut Session) -> Vec<Row> {
                 .map(|s| executor.merge_restart_bound(s))
                 .max()
                 .expect("non-empty fleet grid");
-            let stats = sweep_recorded(&format!("x9 k={k}"), &grid, &executor, session).solo();
+            let stats = session
+                .sweep(&format!("x9 k={k}"), &grid, &executor)
+                .report
+                .solo();
             row(n, k, loosest, &stats)
         })
         .collect()

@@ -202,6 +202,35 @@ fn plan_previews_every_sweep_without_executing_any() {
     assert!(!text.contains('|'), "no tables in plan mode");
 }
 
+/// The lower-bound audits' trims are sweeps like every other: the
+/// preview lists one per audited `L` — x5 and x6 audit two each under
+/// `--quick` — each with its own fingerprint and one piece per label
+/// pair.
+#[test]
+fn plan_lists_one_trim_sweep_per_audited_l() {
+    let text = String::from_utf8(stdout_of(&["x5", "x6", "--quick", "--plan"])).unwrap();
+    let contexts: Vec<&str> = text
+        .lines()
+        .map(|line| {
+            let (_, rest) = line.split_once(": trim ").expect("only trim sweeps");
+            rest.split(" fingerprint=").next().unwrap()
+        })
+        .collect();
+    assert_eq!(
+        contexts,
+        [
+            "cheap-simultaneous L=4",
+            "cheap-simultaneous L=8",
+            "fast L=4",
+            "fast L=8"
+        ]
+    );
+    // C(4, 2) and C(8, 2) label pairs.
+    for (line, pieces) in text.lines().zip([6, 28, 6, 28]) {
+        assert!(line.ends_with(&format!(" pieces={pieces}")), "{line}");
+    }
+}
+
 #[test]
 fn fabric_flag_misuse_is_refused_up_front() {
     for bad in [

@@ -10,7 +10,6 @@
 //! Replay diagnostics live here too, each over its own owned
 //! [`ExecPlan::Replay`] — no session outlives its test.
 
-use rendezvous_bench::common::sweep_recorded;
 use rendezvous_bench::session::{ExecPlan, MergedLedger, Session};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, OrientedRingExplorer};
@@ -70,12 +69,11 @@ fn run_sequence(session: &mut Session) -> Vec<SweepReport> {
         .delays(&[0, 2])
         .all_start_pairs(&g);
     let executor = AlgorithmExecutor::new(&cheap);
-    reports.push(sweep_recorded(
-        "ledger pair",
-        &pair_grid,
-        &Bounded::new(&executor, bounds),
-        session,
-    ));
+    reports.push(
+        session
+            .sweep("ledger pair", &pair_grid, &Bounded::new(&executor, bounds))
+            .report,
+    );
 
     // 2. A gathering fleet sweep with per-scenario bounds (the x9 shape).
     let g8 = Arc::new(generators::oriented_ring(8).unwrap());
@@ -89,12 +87,11 @@ fn run_sequence(session: &mut Session) -> Vec<SweepReport> {
         .fleet_rule(rule)
         .fleet_rotations(&[0])
         .delays(&[0, 5]);
-    reports.push(sweep_recorded(
-        "ledger fleet",
-        &fleet_grid,
-        &GatheringExecutor::new(fast),
-        session,
-    ));
+    reports.push(
+        session
+            .sweep("ledger fleet", &fleet_grid, &GatheringExecutor::new(fast))
+            .report,
+    );
 
     // 3. A topology sweep (the x10 shape), small but multi-family.
     let specs = vec![
@@ -111,12 +108,11 @@ fn run_sequence(session: &mut Session) -> Vec<SweepReport> {
             .sample_cap(9)
     })
     .expect("specs build");
-    reports.push(sweep_recorded(
-        "ledger topo",
-        &topo,
-        &CheapTopo { l: 3 },
-        session,
-    ));
+    reports.push(
+        session
+            .sweep("ledger topo", &topo, &CheapTopo { l: 3 })
+            .report,
+    );
 
     reports
 }
@@ -204,7 +200,7 @@ fn mixed_shard_records_merge_and_replay_byte_identically_for_m_2_3_7() {
 /// Replay diagnostics: ledger exhaustion and fingerprint mismatches must
 /// name the sweep's position in the sequence, the expected versus found
 /// fingerprint, and the ledger's source — through the real
-/// `sweep_recorded` path, not a fabricated plan.
+/// `Session::sweep` path, not a fabricated plan.
 #[test]
 fn replay_diagnostics_name_position_fingerprints_and_source() {
     let runner = Runner::sequential();

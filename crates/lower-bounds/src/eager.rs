@@ -9,8 +9,8 @@
 //! algorithm and reports every intermediate quantity, so experiments can
 //! verify the chain numerically.
 
-use crate::trim::{execute, trim_with};
-use crate::{hamiltonian_path, oriented_ring_size, LowerBoundError, TrimmedAlgorithm};
+use crate::trim::execute;
+use crate::{hamiltonian_path, oriented_ring_size, trim, LowerBoundError, TrimmedAlgorithm};
 use rendezvous_core::{Label, RendezvousAlgorithm};
 use rendezvous_runner::AlgorithmExecutor;
 
@@ -73,13 +73,27 @@ pub fn eager_chain_audit(
     algorithm: &dyn RendezvousAlgorithm,
     horizon: u64,
 ) -> Result<EagerChainReport, LowerBoundError> {
+    eager_chain_audit_of(algorithm, horizon, trim(algorithm, horizon)?)
+}
+
+/// [`eager_chain_audit`] on `algorithm`'s already computed trimming data
+/// — from [`trim`], or from a [`trim_grid`](crate::trim_grid) sweep run
+/// elsewhere and read by [`TrimmedAlgorithm::from_sweep`]. The
+/// tournament's executions, which depend on the trimmed vectors, stream
+/// one at a time.
+///
+/// # Errors
+///
+/// As [`eager_chain_audit`], bar the trim's own failures.
+pub fn eager_chain_audit_of(
+    algorithm: &dyn RendezvousAlgorithm,
+    horizon: u64,
+    trimmed: TrimmedAlgorithm,
+) -> Result<EagerChainReport, LowerBoundError> {
     let n = oriented_ring_size(algorithm.graph())?;
     let e = (n - 1) as u64;
     let f = e.div_ceil(2);
-    // One executor for trim and the tournament: the tournament's
-    // executions reuse the plans trim compiled.
     let executor = AlgorithmExecutor::new(algorithm);
-    let trimmed = trim_with(&executor, algorithm, horizon)?;
     let phi = trimmed.phi(e);
 
     // Heavy-side selection (mirror if needed).

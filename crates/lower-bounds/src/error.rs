@@ -21,14 +21,12 @@ pub enum LowerBoundError {
         /// The ring size.
         n: usize,
     },
-    /// An execution failed to meet within the provided horizon — either
-    /// the algorithm is incorrect or the horizon too small; both are fatal
-    /// for the analysis.
+    /// An execution of a label pair failed to meet within the provided
+    /// horizon — either the algorithm is incorrect or the horizon too
+    /// small; both are fatal for the analysis.
     NoMeeting {
         /// The two labels.
         labels: (u64, u64),
-        /// The two start nodes.
-        starts: (usize, usize),
         /// The horizon that was exhausted.
         horizon: u64,
     },
@@ -57,14 +55,10 @@ impl fmt::Display for LowerBoundError {
             LowerBoundError::RingNotDivisibleBySix { n } => {
                 write!(f, "sector analysis requires 6 | n, got n = {n}")
             }
-            LowerBoundError::NoMeeting {
-                labels,
-                starts,
-                horizon,
-            } => write!(
+            LowerBoundError::NoMeeting { labels, horizon } => write!(
                 f,
-                "agents ℓ{} and ℓ{} starting at v{} and v{} did not meet within {horizon} rounds",
-                labels.0, labels.1, starts.0, starts.1
+                "agents ℓ{} and ℓ{} did not meet within {horizon} rounds",
+                labels.0, labels.1
             ),
             LowerBoundError::EagerDichotomyViolated { labels } => write!(
                 f,
@@ -115,10 +109,9 @@ mod tests {
     fn display_mentions_parameters() {
         let e = LowerBoundError::NoMeeting {
             labels: (1, 2),
-            starts: (0, 3),
             horizon: 99,
         };
         let s = e.to_string();
-        assert!(s.contains("ℓ1") && s.contains("v3") && s.contains("99"));
+        assert!(s.contains("ℓ1") && s.contains("ℓ2") && s.contains("99"));
     }
 }

@@ -15,6 +15,14 @@
 //!   computes the group's progress vectors and the `k · n/6` cost witnesses
 //!   of Fact 3.17.
 //!
+//! Both start from procedure `Trim`, whose pair executions are one
+//! sweep: [`trim_grid`] is a [`Grid`](rendezvous_runner::Grid) keyed
+//! per label pair, and [`TrimmedAlgorithm::from_sweep`] derives the
+//! horizons from its report. [`trim`] sweeps it on a sequential
+//! runner; a caller that runs the grid elsewhere — sharded, leased,
+//! cached — hands the trimmed data to [`eager_chain_audit_of`] or
+//! [`progress_audit_of`], the same audits minus the trim.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,9 +52,11 @@ mod tournament;
 mod trim;
 
 pub use behavior_vector::{behavior_vector, oriented_ring_size, BehaviorVector};
-pub use eager::{eager_chain_audit, EagerChainReport};
+pub use eager::{eager_chain_audit, eager_chain_audit_of, EagerChainReport};
 pub use error::LowerBoundError;
-pub use progress::{aggregate_vector, define_progress, progress_audit, surplus, ProgressReport};
+pub use progress::{
+    aggregate_vector, define_progress, progress_audit, progress_audit_of, surplus, ProgressReport,
+};
 pub use segments::{disjoint_offset, Segments};
 pub use tournament::{hamiltonian_path, is_hamiltonian_path};
-pub use trim::{trim, TrimmedAlgorithm};
+pub use trim::{trim, trim_grid, TrimmedAlgorithm};

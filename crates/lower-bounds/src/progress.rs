@@ -176,12 +176,22 @@ pub fn progress_audit(
     algorithm: &dyn RendezvousAlgorithm,
     horizon: u64,
 ) -> Result<ProgressReport, LowerBoundError> {
-    let n = oriented_ring_size(algorithm.graph())?;
-    if n % 6 != 0 {
-        return Err(LowerBoundError::RingNotDivisibleBySix { n });
-    }
-    let block_len = n / 6;
-    let trimmed = trim(algorithm, horizon)?;
+    sectored_ring(algorithm)?;
+    progress_audit_of(algorithm, trim(algorithm, horizon)?)
+}
+
+/// [`progress_audit`] on `algorithm`'s already computed trimming data —
+/// from [`trim`], or from a [`trim_grid`](crate::trim_grid) sweep run
+/// elsewhere and read by [`TrimmedAlgorithm::from_sweep`].
+///
+/// # Errors
+///
+/// As [`progress_audit`], bar the trim's own failures.
+pub fn progress_audit_of(
+    algorithm: &dyn RendezvousAlgorithm,
+    trimmed: TrimmedAlgorithm,
+) -> Result<ProgressReport, LowerBoundError> {
+    let (n, block_len) = sectored_ring(algorithm)?;
     let l = algorithm.label_space().size();
 
     // Pigeonhole: group agents by the block containing m_x.
@@ -234,6 +244,15 @@ pub fn progress_audit(
         witnesses_hold,
         trimmed,
     })
+}
+
+/// The ring size `n` of `algorithm` and its sector length `n/6`.
+fn sectored_ring(algorithm: &dyn RendezvousAlgorithm) -> Result<(usize, usize), LowerBoundError> {
+    let n = oriented_ring_size(algorithm.graph())?;
+    if n % 6 != 0 {
+        return Err(LowerBoundError::RingNotDivisibleBySix { n });
+    }
+    Ok((n, n / 6))
 }
 
 #[cfg(test)]

@@ -159,6 +159,9 @@ pub struct Grid {
     rotations: Vec<usize>,
     /// Digest of the algorithm that runs the grid ([`Grid::executed_by`]).
     executor: Option<u64>,
+    /// One fold key per entry of `label_pairs` ([`Grid::fold_per_label_pair`]);
+    /// `None` folds everything under the empty key.
+    pair_keys: Option<Vec<String>>,
 }
 
 impl Grid {
@@ -175,6 +178,7 @@ impl Grid {
             fleet_rule: None,
             rotations: vec![0],
             executor: None,
+            pair_keys: None,
         }
     }
 
@@ -184,6 +188,10 @@ impl Grid {
         assert!(
             self.fleet_sizes.is_empty(),
             "label pairs are a pair-mode axis; this grid sweeps fleets"
+        );
+        assert!(
+            self.pair_keys.is_none(),
+            "label pairs must be set before fold_per_label_pair"
         );
         self.label_pairs.extend_from_slice(pairs);
         self
@@ -196,6 +204,10 @@ impl Grid {
         assert!(
             self.fleet_sizes.is_empty(),
             "label pairs are a pair-mode axis; this grid sweeps fleets"
+        );
+        assert!(
+            self.pair_keys.is_none(),
+            "label pairs must be set before fold_per_label_pair"
         );
         for &(a, b) in pairs {
             self.label_pairs.push((a, b));
@@ -311,10 +323,49 @@ impl Grid {
         self
     }
 
+    /// Keys the fold per label pair: [`Workload::pieces`] cuts every
+    /// range at label-pair boundaries and keys each piece
+    /// `"{first},{second}"`, so the [`SweepReport`](crate::SweepReport)
+    /// holds one group per label pair. The setting is part of the
+    /// grid's identity; the outcomes and their global indices are not
+    /// changed by it, so the groups merge to the unkeyed grid's one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a grid without label pairs (set them first), on a
+    /// fleet grid and on a capped grid — a sampled index space does not
+    /// fall into whole label-pair blocks.
+    #[must_use]
+    pub fn fold_per_label_pair(mut self) -> Self {
+        assert!(
+            self.fleet_sizes.is_empty(),
+            "a fleet grid has no label pairs to fold by"
+        );
+        assert!(
+            !self.label_pairs.is_empty(),
+            "fold_per_label_pair needs the label pairs set first"
+        );
+        assert!(
+            self.cap.is_none(),
+            "a capped grid cannot fold per label pair"
+        );
+        self.pair_keys = Some(
+            self.label_pairs
+                .iter()
+                .map(|(a, b)| format!("{a},{b}"))
+                .collect(),
+        );
+        self
+    }
+
     /// Caps the sweep at `max` scenarios via deterministic even striding.
     #[must_use]
     pub fn sample_cap(mut self, max: usize) -> Self {
         assert!(max > 0, "sample cap must be positive");
+        assert!(
+            self.pair_keys.is_none(),
+            "a grid folded per label pair cannot be capped"
+        );
         self.cap = Some(max);
         self
     }
@@ -327,7 +378,8 @@ impl Grid {
     /// with its length so adjacent variable-length axes cannot alias.
     /// A grid that names no algorithm (a topology entry, whose
     /// [`TopoGrid`](crate::TopoGrid) is shared by several) keeps the
-    /// digest of its axes alone.
+    /// digest of its axes alone; a grid not folded per label pair
+    /// ([`Grid::fold_per_label_pair`]) folds nothing for that setting.
     pub(crate) fn digest(&self) -> u64 {
         let mut h = crate::workload::Fnv1a::new();
         h.write_u64(self.horizon);
@@ -369,6 +421,9 @@ impl Grid {
         }
         if let Some(executor) = self.executor {
             h.write_u64(executor);
+        }
+        if self.pair_keys.is_some() {
+            h.write_bytes(b"per-label-pair");
         }
         h.finish()
     }
@@ -488,7 +543,8 @@ impl Grid {
 /// A [`Grid`] is the elementary [`Workload`]: one graph, an index-stable
 /// capped scenario list, and a single piece per range (every scenario
 /// shares the grid's one context, so the fold key is empty and the
-/// report has one group).
+/// report has one group) — or, folded per label pair, one piece per
+/// label pair the range touches, keyed by that pair.
 ///
 /// The sampling cap is applied *before* sharding — so merging the shard
 /// sweeps of a capped grid reproduces the capped single-process sweep
@@ -521,12 +577,31 @@ impl Workload for Grid {
         if lo == hi {
             return Vec::new();
         }
-        vec![WorkPiece {
-            offset: lo,
-            key: "",
-            entry: None,
-            scenarios: self.scenarios_in(lo, hi),
-        }]
+        let Some(keys) = &self.pair_keys else {
+            return vec![WorkPiece {
+                offset: lo,
+                key: "",
+                entry: None,
+                scenarios: self.scenarios_in(lo, hi),
+            }];
+        };
+        // Uncapped (fold_per_label_pair refuses caps): label pair `i`
+        // owns the index block `[i·block, (i+1)·block)`.
+        let block = self.start_pairs.len() * self.delays.len();
+        let mut pieces = Vec::new();
+        let mut at = lo;
+        while at < hi {
+            let pair = at / block;
+            let end = ((pair + 1) * block).min(hi);
+            pieces.push(WorkPiece {
+                offset: at,
+                key: &keys[pair],
+                entry: None,
+                scenarios: self.scenarios_in(at, end),
+            });
+            at = end;
+        }
+        pieces
     }
 }
 
@@ -878,6 +953,118 @@ mod tests {
     fn fleet_rule_rejects_fleets_larger_than_the_graph() {
         let g = generators::oriented_ring(4).unwrap();
         let _ = FleetRule::spread(&g, 32).placements(5, 0, 0);
+    }
+
+    fn per_pair_setup() -> (rendezvous_core::Cheap, Grid) {
+        use rendezvous_core::{Cheap, LabelSpace};
+        use rendezvous_explore::OrientedRingExplorer;
+        use std::sync::Arc;
+        let g = Arc::new(generators::oriented_ring(5).unwrap());
+        let ex = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
+        let alg = Cheap::new(g.clone(), ex, LabelSpace::new(4).unwrap());
+        let grid = Grid::new(4 * alg.time_bound())
+            .label_pairs_both_orders(&[(1, 2), (2, 4), (3, 4)])
+            .delays(&[0, 2])
+            .all_start_pairs(&g)
+            .executed_by(&alg);
+        (alg, grid)
+    }
+
+    /// Folding per label pair regroups the same outcomes at the same
+    /// global indices: the groups merge back to the unkeyed grid's one
+    /// group, witnesses included; the setting changes the identity but
+    /// not the size; and sharded sweeps merge to the whole.
+    #[test]
+    fn per_label_pair_groups_merge_to_the_unkeyed_fold() {
+        use crate::{AlgorithmExecutor, Bounded, Bounds, GroupStats, Runner, SweepReport};
+        use rendezvous_core::RendezvousAlgorithm;
+        let (alg, plain) = per_pair_setup();
+        let keyed = plain.clone().fold_per_label_pair();
+        let executor = AlgorithmExecutor::new(&alg);
+        let bounds = Some(Bounds {
+            time: alg.time_bound(),
+            cost: alg.cost_bound(),
+        });
+        let exec = Bounded::new(&executor, bounds);
+        let whole = Runner::sequential().sweep(&plain, &exec).unwrap().solo();
+        let report = Runner::with_threads(3).sweep(&keyed, &exec).unwrap();
+
+        let keys: Vec<&str> = report.groups.iter().map(|g| g.key.as_str()).collect();
+        assert_eq!(keys, ["1,2", "2,1", "2,4", "3,4", "4,2", "4,3"]);
+        for group in &report.groups {
+            // 20 ordered start pairs × 2 delays per label pair, and the
+            // group's witness runs the group's own pair.
+            assert_eq!(group.executed, 40);
+            let s = &group.worst_time.as_ref().unwrap().scenario;
+            let labels = format!("{},{}", s.placements[0].label, s.placements[1].label);
+            assert_eq!(labels, group.key);
+        }
+        let regrouped = report
+            .groups
+            .iter()
+            .map(|g| SweepReport {
+                groups: vec![GroupStats {
+                    key: String::new(),
+                    ..g.clone()
+                }],
+            })
+            .reduce(|a, b| a.merge(&b))
+            .unwrap();
+        assert_eq!(regrouped.solo(), whole);
+
+        let (plain_meta, keyed_meta) = (plain.meta(), keyed.meta());
+        assert_ne!(plain_meta.digest, keyed_meta.digest);
+        assert_eq!(
+            (plain_meta.full_size, plain_meta.size),
+            (keyed_meta.full_size, keyed_meta.size)
+        );
+
+        for of in [2usize, 3, 7] {
+            let mut merged = SweepReport::default();
+            for i in 0..of {
+                let (lo, hi) = keyed.shard(i, of);
+                let part = Runner::sequential()
+                    .sweep_range(&keyed, lo, hi, &exec)
+                    .unwrap();
+                merged = merged.merge(&part);
+            }
+            assert_eq!(merged, report, "{of} shards");
+        }
+    }
+
+    /// A per-pair grid cuts ranges at label-pair blocks (here 40 units)
+    /// and keys each piece by its pair.
+    #[test]
+    fn per_label_pair_pieces_cut_at_pair_boundaries() {
+        let (_, grid) = per_pair_setup();
+        let grid = grid.fold_per_label_pair();
+        let pieces = grid.pieces(15, 85);
+        let cuts: Vec<(usize, &str, usize)> = pieces
+            .iter()
+            .map(|p| (p.offset, p.key, p.scenarios.len()))
+            .collect();
+        assert_eq!(cuts, [(15, "1,2", 25), (40, "2,1", 40), (80, "2,4", 5)]);
+        let scenarios: Vec<Scenario> = pieces.into_iter().flat_map(|p| p.scenarios).collect();
+        assert_eq!(scenarios, grid.scenarios_in(15, 85));
+        assert!(grid.pieces(40, 40).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be capped")]
+    fn per_label_pair_grids_refuse_a_cap() {
+        let _ = per_pair_setup().1.fold_per_label_pair().sample_cap(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fold per label pair")]
+    fn capped_grids_refuse_per_label_pair_folds() {
+        let _ = per_pair_setup().1.sample_cap(10).fold_per_label_pair();
+    }
+
+    #[test]
+    #[should_panic(expected = "no label pairs to fold by")]
+    fn fleet_grids_refuse_per_label_pair_folds() {
+        let _ = fleet_grid(&[2]).fold_per_label_pair();
     }
 
     /// Regression: the product space size saturates instead of wrapping

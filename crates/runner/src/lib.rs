@@ -20,7 +20,8 @@
 //! * [`Workload`] — an index-stable, capped, shardable source of
 //!   `(global index, context, Scenario)` units. Implemented by [`Grid`]
 //!   (label pairs × start pairs × delays in pair mode, fleet sizes ×
-//!   rotations × delay phases in fleet mode — one graph, one fold group)
+//!   rotations × delay phases in fleet mode — one graph, one fold group,
+//!   or one per label pair under [`Grid::fold_per_label_pair`])
 //!   and [`TopoGrid`] (per-[`GraphSpec`](rendezvous_graph::GraphSpec)
 //!   grids concatenated over many graphs, each built once and keyed by
 //!   family);
@@ -30,7 +31,8 @@
 //!   always walks outcomes in global index order, so parallel and
 //!   sequential runs produce **identical** reports by construction;
 //! * [`SweepReport`] — the one keyed fold: per-group (`""` for plain
-//!   sweeps, the graph family for topology sweeps) sums, maxima,
+//!   sweeps, the label pair for per-pair grids, the graph family for
+//!   topology sweeps) sums, maxima,
 //!   bound-violation counts and worst-case [`Witness`]es, tie-broken
 //!   toward the lowest global index with exact-`u128` ratio comparison.
 //!

@@ -4,8 +4,9 @@
 //! Every sweep — pair grids, gathering fleets, topology sweeps — folds
 //! into the same report type. Grouping is by a string *fold key*
 //! supplied by the workload: plain grids use the empty key (one group),
-//! topology sweeps use the graph family (one group per family). Within a
-//! group the aggregates are sums, maxima and worst-case witnesses; the
+//! per-pair grids the label pair (one group per pair), topology sweeps
+//! the graph family (one group per family). Within a group the
+//! aggregates are sums, maxima and worst-case witnesses; the
 //! witnesses tie-break toward the **lowest global index**, and bound
 //! ratios compare by exact `u128` cross-multiplication — never floats —
 //! so neither execution order, nor parallelism, nor shard merge order

@@ -26,7 +26,9 @@
 //!
 //! * [`Grid`](crate::Grid) — one graph, scenarios enumerated from label
 //!   pairs × start pairs × delays (pair mode) or fleet sizes × rotations ×
-//!   delay phases (fleet mode). One piece, empty fold key.
+//!   delay phases (fleet mode). One piece, empty fold key — or, under
+//!   [`Grid::fold_per_label_pair`](crate::Grid::fold_per_label_pair),
+//!   one piece per label pair, keyed by the pair.
 //! * [`TopoGrid`](crate::TopoGrid) — many graphs: the concatenation of
 //!   per-[`GraphSpec`](rendezvous_graph::GraphSpec) grids, each built
 //!   once. One piece per spec a range touches; the fold key is the spec's
@@ -40,7 +42,8 @@ use serde::{Deserialize, Serialize};
 /// A contiguous run of one workload's units sharing a single context —
 /// what [`Runner::sweep`](crate::Runner::sweep) hands to the executor.
 ///
-/// A [`Grid`](crate::Grid) range is always one piece; a
+/// A [`Grid`](crate::Grid) range is one piece, or one per label pair it
+/// touches when the grid folds per label pair; a
 /// [`TopoGrid`](crate::TopoGrid) range yields one piece per spec it
 /// touches (shard boundaries may fall inside a spec's scenario list).
 #[derive(Debug)]
@@ -48,7 +51,8 @@ pub struct WorkPiece<'w> {
     /// Global workload index of `scenarios[0]`.
     pub offset: usize,
     /// Fold key of every unit in the piece: the empty string for
-    /// single-group workloads, the graph family for topology sweeps.
+    /// single-group workloads, the label pair for per-pair grids, the
+    /// graph family for topology sweeps.
     /// [`SweepReport`](crate::SweepReport) groups its aggregates by this.
     pub key: &'w str,
     /// The topology context — the built graph, its spec, its grid — when

@@ -9,8 +9,8 @@
 //! registered sweep and every completed range.
 
 use crate::metrics::Stopwatch;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -75,10 +75,12 @@ pub struct ProgressCounts {
 const SAMPLE_EVERY: Duration = Duration::from_millis(200);
 
 /// A stderr progress reporter on a sampling thread. Dropping it (or
-/// calling [`ProgressReporter::finish`]) emits one final reading and
-/// joins the thread.
+/// calling [`ProgressReporter::finish`]) wakes the sampler at once —
+/// not after its current [`SAMPLE_EVERY`] wait — emits one final
+/// reading and joins the thread.
 pub struct ProgressReporter {
-    stop: Arc<AtomicBool>,
+    /// Dropping the sender wakes and stops the sampler.
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -87,21 +89,19 @@ impl ProgressReporter {
     /// line with rate and ETA.
     #[must_use]
     pub fn new(source: impl Fn() -> ProgressCounts + Send + 'static) -> ProgressReporter {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let watch = Stopwatch::start();
         // analyze: allow(d5) — display-only stderr sampler: reads counters,
         // writes no fold, joins before the process emits exact output
-        let thread = std::thread::spawn(move || loop {
-            let finished = flag.load(Ordering::Relaxed);
-            emit(&watch, &source(), finished);
-            if finished {
-                break;
+        let thread = std::thread::spawn(move || {
+            emit(&watch, &source(), false);
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(SAMPLE_EVERY) {
+                emit(&watch, &source(), false);
             }
-            std::thread::sleep(SAMPLE_EVERY);
+            emit(&watch, &source(), true);
         });
         ProgressReporter {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
@@ -112,7 +112,7 @@ impl ProgressReporter {
     }
 
     fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -154,6 +154,7 @@ fn emit(watch: &Stopwatch, counts: &ProgressCounts, finished: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn progress_accumulates_and_reads_back() {
@@ -174,8 +175,21 @@ mod tests {
         let metrics = Arc::new(crate::Metrics::new());
         metrics.progress().add_planned(10, 1);
         let m = Arc::clone(&metrics);
-        let reporter = ProgressReporter::new(move || m.progress().counts());
+        let (sampled, first_reading) = mpsc::channel();
+        let reporter = ProgressReporter::new(move || {
+            let _ = sampled.send(());
+            m.progress().counts()
+        });
         metrics.progress().piece_done(10);
+        // After its first reading the sampler waits out an interval;
+        // stopping must wake it rather than wait with it.
+        first_reading.recv().unwrap();
+        let watch = Stopwatch::start();
         reporter.finish();
+        let waited = watch.elapsed_ns();
+        assert!(
+            u128::from(waited) < SAMPLE_EVERY.as_nanos() / 4,
+            "finish() took {waited} ns, a sampling interval is {SAMPLE_EVERY:?}"
+        );
     }
 }
